@@ -34,8 +34,8 @@ from .core import (
     status_of,
     tape_of,
 )
+from .kernel import run_word
 from .problems import NO, YES, classify_eqstar, classify_xoreq, generate, xoreq_word
-from .quantum import run_quantum
 from .zoo import ClaimedBounds
 
 Config = tuple[str, int]
@@ -666,9 +666,8 @@ def brute_refute(
     """Scan generate(problem, n) in order; first contradiction or None."""
     if rule is None:
         rule = default_rule(machine)
-    engine = run_quantum if machine.mclass.quantum else run
     for word, label in generate(problem, n):
-        verdict = engine(machine, word)
+        verdict = run_word(machine, word)
         reason = rule(label, verdict)
         if reason is not None:
             return BruteResult(word=word, label=label, verdict=verdict, reason=reason)

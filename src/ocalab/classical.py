@@ -1,26 +1,28 @@
 """Exact forward simulation of the classical machine classes.
 
 The engine pushes a finite rational distribution over configurations
-(state, counter) through the framed input one symbol at a time.  Weights
-are exact ``Fraction`` values, merged additively when paths meet, so the
-final accept/reject/neutral masses are exact — no path enumeration and no
-floating point.  The same propagation serves the deterministic,
-probabilistic, Las Vegas and modal (existential / universal) classes;
-only the reading of the final distribution differs.
+(state, counter) through the framed input one symbol at a time.  Paths
+that meet are merged additively, so the final accept/reject/neutral
+masses are exact — no path enumeration and no floating point.  The same
+propagation serves the deterministic, probabilistic, Las Vegas and modal
+(existential / universal) classes; only the reading of the final
+distribution differs.  Runs go through the compiled integer kernel
+(:mod:`ocalab.kernel`); the functions here that take or return a
+distribution use exact ``Fraction`` masses.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
+from . import kernel as _kernel
 from .core import (
     CounterMachine,
     MachineClass,
     SimulationError,
     Verdict,
-    status_of,
     tape_of,
 )
 
@@ -47,13 +49,12 @@ def step(
     _require_classical(machine)
     if symbol not in machine.tape_symbols:
         raise SimulationError(f"symbol {symbol!r} is not on this machine's tape")
-    out: ConfigDistribution = {}
-    for (state, counter), mass in dist.items():
-        for target, delta, weight in machine.entries(state, symbol, status_of(counter)):
-            key = (target, counter + delta)
-            prev = out.get(key)
-            out[key] = mass * weight if prev is None else prev + mass * weight
-    return out
+    return _kernel.step_exact(machine, dist, symbol)
+
+
+# The code of this module's own ``step``: a wrapper or a replacement bound
+# to the name (even to every name of the function) has other code.
+_OWN_STEP = step.__code__
 
 
 def verdict_of(machine: CounterMachine, dist: ConfigDistribution) -> Verdict:
@@ -63,18 +64,8 @@ def verdict_of(machine: CounterMachine, dist: ConfigDistribution) -> Verdict:
     additionally require counter zero (for both the accepting and the
     neutral outcome), with everything else rejecting.
     """
-    blind = machine.mclass.blind
-    las_vegas = machine.mclass.las_vegas
-    accept = Fraction(0)
-    neutral = Fraction(0)
-    total = Fraction(0)
-    for (state, counter), mass in dist.items():
-        total += mass
-        if state in machine.accepting and (not blind or counter == 0):
-            accept += mass
-        elif las_vegas and state in machine.neutral and (not blind or counter == 0):
-            neutral += mass
-    return Verdict(accept=accept, reject=total - accept - neutral, neutral=neutral)
+    kernel = _kernel.compiled(machine)
+    return _kernel.read(kernel, *_kernel.exact_items(kernel, dist))
 
 
 @dataclass(frozen=True)
@@ -92,24 +83,35 @@ def run_trace(
 ) -> RunTrace:
     """Run on the framed input and keep the evolution details."""
     _require_classical(machine)
-    dist = initial_distribution(machine)
-    kept: list[ConfigDistribution] | None = [] if keep_distributions else None
+    kernel = _kernel.compiled(machine)
     tape = tape_of(word, machine.alphabet)
-    for symbol in tape:
-        dist = step(machine, dist, symbol)
-        if kept is not None:
-            kept.append(dist)
+    kept: list | None = [] if keep_distributions else None
+    dist, den = _kernel.propagate(kernel, tape, keep=kept)
     return RunTrace(
-        verdict=verdict_of(machine, dist),
+        verdict=_kernel.read(kernel, dist.items(), den),
         steps=len(tape),
-        final=dist,
-        distributions=tuple(kept) if kept is not None else None,
+        final=_kernel.to_exact(kernel, dist, den),
+        distributions=None
+        if kept is None
+        else tuple(_kernel.to_exact(kernel, d, n) for d, n in kept),
     )
 
 
 def run(machine: CounterMachine, word: str) -> Verdict:
-    """Exact accept/reject/neutral masses of a run over the framed input."""
-    return run_trace(machine, word).verdict
+    """Exact accept/reject/neutral masses of a run over the framed input.
+
+    A run is :func:`step` folded over the framed tape.  While ``step`` is
+    this module's own function the compiled kernel runs the whole tape in
+    one go; once the name is rebound (a wrapper that observes or alters
+    single steps), every symbol goes through it.
+    """
+    _require_classical(machine)
+    if getattr(step, "__code__", None) is _OWN_STEP:
+        return _kernel.run_word(machine, word)
+    dist = initial_distribution(machine)
+    for symbol in tape_of(word, machine.alphabet):
+        dist = step(machine, dist, symbol)
+    return verdict_of(machine, dist)
 
 
 def decide_mode(machine: CounterMachine, word: str) -> bool:
@@ -128,6 +130,9 @@ def decide_mode(machine: CounterMachine, word: str) -> bool:
     )
 
 
+_OUTCOMES = {_kernel.ACCEPT: "accept", _kernel.NEUTRAL: "dontknow", _kernel.REJECT: "reject"}
+
+
 def sample_run(machine: CounterMachine, word: str, seed: int) -> str:
     """Draw one random path; returns "accept", "reject" or "dontknow".
 
@@ -138,31 +143,26 @@ def sample_run(machine: CounterMachine, word: str, seed: int) -> str:
     machines are not, since a single path has no outcome probability.
     """
     _require_classical(machine)
+    kernel = _kernel.compiled(machine)
     rng = random.Random(seed)
-    state, counter = machine.initial, 0
+    size = kernel.size
+    config = kernel.initial
     for symbol in tape_of(word, machine.alphabet):
-        row = machine.entries(state, symbol, status_of(counter))
+        table = kernel.tables[symbol]
+        state = config % size
+        row = table.branches(state, config == state, table.den)
         if len(row) == 1:
-            target, delta, _ = row[0]
-        else:
-            weights = [w for _, _, w in row]
-            denom = math.lcm(*(w.denominator for w in weights))
-            draw = rng.randrange(denom)
-            acc = 0
-            target, delta = row[-1][0], row[-1][1]
-            for branch_target, branch_delta, weight in row:
-                acc += weight.numerator * (denom // weight.denominator)
-                if draw < acc:
-                    target, delta = branch_target, branch_delta
-                    break
-        state, counter = target, counter + delta
-    blind = machine.mclass.blind
-    if state in machine.accepting and (not blind or counter == 0):
-        return "accept"
-    if (
-        machine.mclass.las_vegas
-        and state in machine.neutral
-        and (not blind or counter == 0)
-    ):
-        return "dontknow"
-    return "reject"
+            config += row[0][0]
+            continue
+        # The row's own least denominator, so a seed draws as it always has.
+        common = gcd(table.den, *(weight for _, weight in row))
+        draw = rng.randrange(table.den // common)
+        acc = 0
+        off = row[-1][0]
+        for branch_off, weight in row:
+            acc += weight // common
+            if draw < acc:
+                off = branch_off
+                break
+        config += off
+    return _OUTCOMES[kernel.kind(config)]

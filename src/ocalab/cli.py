@@ -29,12 +29,11 @@ from typing import Optional, Sequence
 
 from . import adversary as adversary_mod
 from . import zoo as zoo_mod
-from .classical import run as run_classical
 from .classical import sample_run
 from .core import CounterMachine, EngineError, Verdict
 from .dsl import ParseError, emit, parse_with_diagnostics
+from .kernel import run_word
 from .problems import get_problem
-from .quantum import run_quantum
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -64,6 +63,16 @@ class _CliError(Exception):
         self.code = code
 
 
+def _zoo_entry(name: str, unknown: str, unknown_code: int) -> zoo_mod.ZooEntry:
+    """Look up a zoo entry; a family parameter out of range is a usage error."""
+    try:
+        return zoo_mod.get_entry(name)
+    except KeyError as exc:
+        raise _CliError(unknown, unknown_code) from exc
+    except ValueError as exc:
+        raise _CliError(f"{name}: {exc}", EXIT_INVALID) from exc
+
+
 def _load_machine(ref: str) -> tuple[CounterMachine, Optional[zoo_mod.ZooEntry]]:
     """Resolve a machine reference: a .cma path, or failing that a zoo name."""
     path = Path(ref)
@@ -77,19 +86,8 @@ def _load_machine(ref: str) -> tuple[CounterMachine, Optional[zoo_mod.ZooEntry]]
             lines = "\n".join(str(d) for d in diagnostics)
             raise _CliError(lines, EXIT_INVALID)
         return machine, None
-    try:
-        entry = zoo_mod.get_entry(ref)
-    except KeyError as exc:
-        raise _CliError(
-            f"{ref}: no such file and no such zoo machine", EXIT_IO
-        ) from exc
+    entry = _zoo_entry(ref, f"{ref}: no such file and no such zoo machine", EXIT_IO)
     return entry.machine, entry
-
-
-def _run_verdict(machine: CounterMachine, word: str) -> Verdict:
-    if machine.mclass.quantum:
-        return run_quantum(machine, word)
-    return run_classical(machine, word)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -125,7 +123,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(outcome)
         return EXIT_OK
     try:
-        verdict = _run_verdict(machine, args.input)
+        verdict = run_word(machine, args.input)
     except EngineError as exc:
         raise _CliError(str(exc), EXIT_INVALID) from exc
     fields = _verdict_fields(verdict)
@@ -137,10 +135,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if (args.file is None) == (args.zoo is None):
         raise _CliError("provide exactly one of <file.cma> or --zoo <name>", EXIT_INVALID)
     if args.zoo is not None:
-        try:
-            entry: Optional[zoo_mod.ZooEntry] = zoo_mod.get_entry(args.zoo)
-        except KeyError as exc:
-            raise _CliError(f"unknown zoo machine {args.zoo!r}", EXIT_INVALID) from exc
+        entry: Optional[zoo_mod.ZooEntry] = _zoo_entry(
+            args.zoo, f"unknown zoo machine {args.zoo!r}", EXIT_INVALID
+        )
         machine = entry.machine
     else:
         machine, entry = _load_machine(args.file)
@@ -164,7 +161,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     worst: Optional[tuple[str, str]] = None
     try:
         for word, label in instances:
-            verdict = _run_verdict(machine, word)
+            verdict = run_word(machine, word)
             records.append({"input": word, "label": label, **_verdict_fields(verdict)})
             max_dontknow = max(max_dontknow, verdict.neutral)
             if label == "yes" and (min_yes is None or verdict.accept < min_yes):
@@ -274,10 +271,7 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
             entry = zoo_mod.get_entry(name)
             print(f"{name}\t{entry.machine.mclass.tag}\t{entry.problem}")
         return EXIT_OK
-    try:
-        entry = zoo_mod.get_entry(args.name)
-    except KeyError as exc:
-        raise _CliError(f"unknown zoo machine {args.name!r}", EXIT_INVALID) from exc
+    entry = _zoo_entry(args.name, f"unknown zoo machine {args.name!r}", EXIT_INVALID)
     text = emit(entry.machine)
     if args.out is None:
         print(text, end="")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .amplitudes import AMP_ONE, Amplitude
@@ -130,12 +131,16 @@ class Verdict:
     neutral: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
+        # Integer forms of the Fraction checks: denominators are positive.
         for part in (self.accept, self.reject, self.neutral):
             if not isinstance(part, Fraction):
                 raise TypeError("Verdict fields must be exact Fractions")
-            if part < 0 or part > 1:
+            if part.numerator < 0 or part.numerator > part.denominator:
                 raise ValueError(f"verdict mass out of range: {part}")
-        if self.accept + self.reject + self.neutral != 1:
+        (p, q), (r, s), (t, u) = (
+            part.as_integer_ratio() for part in (self.accept, self.reject, self.neutral)
+        )
+        if (p * s + r * q) * u + t * q * s != q * s * u:
             raise ValueError(
                 "verdict masses must sum to 1, got "
                 f"{self.accept} + {self.reject} + {self.neutral}"
@@ -151,6 +156,10 @@ class CounterMachine:
     ``Fraction`` probabilities for classical machines and exact
     ``Amplitude`` ring elements for quantum ones.  Missing keys mean the
     implicit sink; use :meth:`entries` to read the table totally.
+
+    The table is frozen on construction (a read-only copy), so a machine
+    never changes after it is built and the engines may cache its
+    compiled form; build a changed machine with ``dataclasses.replace``.
     """
 
     name: str
@@ -159,9 +168,15 @@ class CounterMachine:
     states: tuple[State, ...]
     initial: State
     accepting: frozenset[State]
-    transitions: TransTable
+    transitions: Mapping[TransKey, tuple[TransEntry, ...]]
     neutral: frozenset[State] = field(default_factory=frozenset)
     max_step: int = 1
+
+    def __post_init__(self) -> None:
+        table = self.transitions
+        if isinstance(table, MappingProxyType):
+            table = table.copy()  # the fast copy of the mapping underneath
+        object.__setattr__(self, "transitions", MappingProxyType(dict(table)))
 
     def entries(self, state: State, symbol: Symbol, status: Status) -> tuple[TransEntry, ...]:
         """Total transition lookup; unlisted triples drop into the sink."""

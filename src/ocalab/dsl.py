@@ -522,13 +522,18 @@ def emit(machine: CounterMachine) -> str:
 
     tape_order = list(machine.alphabet) + [LEFT_END, RIGHT_END]
 
+    texts: dict[int, str] = {}  # id(weight) -> its text; tables share weights
+
     def weight_text(weight: object) -> str:
-        if isinstance(weight, Amplitude):
-            return f" @ {emit_amplitude(weight)}"
-        assert isinstance(weight, Fraction)
-        if weight == 1:
-            return ""
-        return f" @ {weight}"
+        text = texts.get(id(weight))
+        if text is None:
+            if isinstance(weight, Amplitude):
+                text = f" @ {emit_amplitude(weight)}"
+            else:
+                assert isinstance(weight, Fraction)
+                text = "" if weight == 1 else f" @ {weight}"
+            texts[id(weight)] = text
+        return text
 
     for state in machine.states:
         for sym in tape_order:

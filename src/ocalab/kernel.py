@@ -1,0 +1,531 @@
+"""The one propagation kernel behind every machine class.
+
+A machine is compiled once, on its first run, into integer rows and the
+compiled form is cached on the (immutable) machine:
+
+- state names become ids ``0..S-1``, the implicit sink last, and a
+  configuration (state, counter) becomes the single int ``counter*S + id``;
+- every (state, symbol, status) row is either a *move* (one branch of
+  weight 1), stored as the int offset ``delta*S + target - source`` that
+  carries a configuration to its successor, or a tuple of
+  (offset, integer weight) branches over one denominator per symbol;
+- classical masses are ints, quantum amplitudes are integer 4-tuples
+  (a, b, c, d) meaning (a + b*sqrt2) + i*(c + d*sqrt2).
+
+A distribution is ``{config: value}`` over one common denominator ``D``.
+Moves never touch ``D``.  A step that takes a multi-branch row scales the
+whole distribution by the symbol's denominator and then divides
+everything by the gcd, so ``D`` only grows by what the weights really
+need.  Exact ``Fraction``/``Amplitude`` values appear only at the edges:
+reading a verdict, reporting unitarity violations, and the public
+``step``/``evolve`` wrappers.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from typing import Iterable, Mapping
+
+from .amplitudes import Amplitude
+from .core import (
+    NZ,
+    SINK,
+    Z,
+    CounterMachine,
+    SimulationError,
+    Verdict,
+    tape_of,
+)
+
+IntDist = dict  # config -> int mass or Quad amplitude
+Branches = tuple  # ((offset, int or Quad weight), ...)
+
+# Outcome kinds of a final configuration.
+REJECT, ACCEPT, NEUTRAL = 0, 1, 2
+
+
+class MeasurementError(SimulationError):
+    """A final probability failed an exactness check (bad norm or sqrt2 residue)."""
+
+
+# ---------------------------------------------------------------------------
+# Ring arithmetic on integer 4-tuples of Z[sqrt2] + i*Z[sqrt2].
+# ---------------------------------------------------------------------------
+
+
+class Quad(tuple):
+    """(a, b, c, d) = (a + b*sqrt2) + i*(c + d*sqrt2), all four ints.
+
+    ``+`` and ``*`` are the ring operations (``*`` also takes a plain int),
+    so the kernel's one loop runs unchanged on int masses and on these.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int = 0, c: int = 0, d: int = 0) -> "Quad":
+        return _new_quad(cls, (a, b, c, d))
+
+    def __add__(self, other: "Quad") -> "Quad":  # type: ignore[override]
+        return _new_quad(
+            Quad, (self[0] + other[0], self[1] + other[1], self[2] + other[2], self[3] + other[3])
+        )
+
+    def __mul__(self, other: "Quad | int") -> "Quad":  # type: ignore[override]
+        a, b, c, d = self
+        if isinstance(other, int):
+            return _new_quad(Quad, (a * other, b * other, c * other, d * other))
+        # (A + iC)(E + iG) with A = a + b*sqrt2, C = c + d*sqrt2, and so on.
+        e, f, g, h = other
+        return _new_quad(
+            Quad,
+            (
+                a * e + 2 * b * f - c * g - 2 * d * h,
+                a * f + b * e - c * h - d * g,
+                a * g + 2 * b * h + c * e + 2 * d * f,
+                a * h + b * g + c * f + d * e,
+            ),
+        )
+
+    def conjugate(self) -> "Quad":
+        return _new_quad(Quad, (self[0], self[1], -self[2], -self[3]))
+
+    def __floordiv__(self, n: int) -> "Quad":
+        return _new_quad(Quad, (self[0] // n, self[1] // n, self[2] // n, self[3] // n))
+
+    @classmethod
+    def of(cls, amp: Amplitude, den: int) -> "Quad":
+        """The integer coordinates of ``amp * den`` (``den`` must clear them)."""
+        return _new_quad(cls, tuple(_scaled(part, den) for part in amp._parts()))
+
+    def amplitude(self, den: int) -> Amplitude:
+        """This element divided by ``den``, as an exact Amplitude."""
+        return Amplitude(*(Fraction(part, den) for part in self))
+
+
+_new_quad = tuple.__new__
+QZERO = Quad(0)
+
+
+def _scaled(part: Fraction, den: int) -> int:
+    return part.numerator * (den // part.denominator)
+
+
+# ---------------------------------------------------------------------------
+# The compiled machine.
+# ---------------------------------------------------------------------------
+
+
+class SymbolTable:
+    """Compiled rows of one tape symbol.
+
+    ``moves_z[s]``/``moves_nz[s]`` hold the move offset of state ``s`` on a
+    zero / nonzero counter, or None when the row branches; the branching
+    rows are in ``branch_z``/``branch_nz``, weights over ``den``.
+    """
+
+    __slots__ = ("moves_z", "moves_nz", "branch_z", "branch_nz", "den")
+
+    def __init__(
+        self,
+        moves_z: list,
+        moves_nz: list,
+        branch_z: dict[int, Branches],
+        branch_nz: dict[int, Branches],
+        den: int,
+    ) -> None:
+        self.moves_z = moves_z
+        self.moves_nz = moves_nz
+        self.branch_z = branch_z
+        self.branch_nz = branch_nz
+        self.den = den
+
+    def branches(self, state: int, zero: bool, unit: object) -> Branches:
+        """The row of ``state`` as branches, a move given weight ``unit``."""
+        off = (self.moves_z if zero else self.moves_nz)[state]
+        if off is None:
+            return (self.branch_z if zero else self.branch_nz)[state]
+        return ((off, unit),)
+
+
+class Kernel:
+    """A machine compiled for :func:`propagate`; see the module docstring.
+
+    ``kinds[s]`` is the outcome of state ``s``, and ``unit`` is the value 1
+    (int 1, or ``Quad(1)`` for quantum machines).
+    """
+
+    __slots__ = ("names", "ids", "size", "initial", "quantum", "blind", "kinds", "tables", "unit")
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        ids: dict[str, int],
+        initial: str,
+        quantum: bool,
+        blind: bool,
+        kinds: tuple[int, ...],
+        tables: dict[str, SymbolTable],
+    ) -> None:
+        self.names = names
+        self.ids = ids
+        self.size = len(names)
+        self.initial = ids[initial]
+        self.quantum = quantum
+        self.blind = blind
+        self.kinds = kinds
+        self.tables = tables
+        self.unit = Quad(1) if quantum else 1
+
+    def kind(self, config: int) -> int:
+        """REJECT, ACCEPT or NEUTRAL for a final configuration."""
+        state = config % self.size
+        if self.blind and config != state:
+            return REJECT
+        return self.kinds[state]
+
+    def config(self, config: int) -> tuple[str, int]:
+        return self.names[config % self.size], config // self.size
+
+    def config_id(self, state: str, counter: int) -> int:
+        """Unknown state names behave like the sink, as in the total table."""
+        return counter * self.size + self.ids.get(state, self.size - 1)
+
+
+def _weight_parts(machine: CounterMachine, weight: object) -> tuple[Fraction, ...]:
+    if machine.mclass.quantum:
+        if isinstance(weight, (int, Fraction)):
+            weight = Amplitude(weight)
+        if not isinstance(weight, Amplitude):
+            raise SimulationError(
+                f"machine {machine.name!r}: quantum transitions need Amplitude weights"
+            )
+        return weight._parts()
+    if not isinstance(weight, (int, Fraction)):
+        raise SimulationError(
+            f"machine {machine.name!r}: classical transitions need Fraction weights"
+        )
+    return (Fraction(weight),)
+
+
+def _tables(
+    machine: CounterMachine,
+    ids: dict[str, int],
+    rows: Iterable[tuple[tuple[str, str, str], tuple]],
+    symbols: Iterable[str],
+) -> dict[str, SymbolTable]:
+    """Compile ``((state, symbol, status), row)`` pairs into one
+    :class:`SymbolTable` per symbol of ``symbols``; unlisted rows and the
+    sink's own rows drop into the sink."""
+    quantum = machine.mclass.quantum
+    size = len(ids)
+    sink = size - 1
+    one = _weight_parts(machine, 1)
+    known: dict[int, tuple] = {}  # id(weight) -> (its exact parts, whether it is 1)
+
+    def parts_of(weight: object) -> tuple:
+        hit = known.get(id(weight))
+        if hit is None:
+            parts = _weight_parts(machine, weight)
+            hit = known[id(weight)] = (parts, parts == one)
+        return hit
+
+    # Moves are stored as interned offsets, the sink's offset by default.
+    default = [sink - state for state in range(size)]
+    default[sink] = 0
+    interned = {off: off for off in default}
+    moves = {symbol: (list(default), list(default)) for symbol in symbols}
+    branching: dict[str, list] = {symbol: [] for symbol in moves}
+    for (state, symbol, status), row in rows:
+        if state == SINK or symbol not in moves or status not in (Z, NZ):
+            continue
+        source = ids[state]
+        zero = status == Z
+        if len(row) == 1 and parts_of(row[0][2])[1]:
+            target, delta, _ = row[0]
+            off = delta * size + ids[target] - source
+            moves[symbol][0 if zero else 1][source] = interned.setdefault(off, off)
+            continue
+        branches = [
+            (delta * size + ids[target] - source, parts_of(weight)[0])
+            for target, delta, weight in row
+        ]
+        if quantum:  # a zero amplitude contributes nothing
+            branches = [branch for branch in branches if any(branch[1])]
+        branching[symbol].append((source, zero, row, branches))
+
+    # Both statuses of a blind row share one compiled row; equal weights
+    # share one object.
+    shared: dict[tuple[int, int, int], Branches] = {}
+    weights: dict[object, object] = {}
+    tables = {}
+    for symbol, (moves_z, moves_nz) in moves.items():
+        rows = branching[symbol]
+        den = lcm(
+            *(part.denominator for _, _, _, branches in rows for _, parts in branches for part in parts)
+        )
+        branch_z: dict[int, Branches] = {}
+        branch_nz: dict[int, Branches] = {}
+
+        def weight_of(parts: tuple[Fraction, ...]) -> object:
+            weight = Quad(*(_scaled(p, den) for p in parts)) if quantum else _scaled(parts[0], den)
+            return weights.setdefault(weight, weight)
+
+        for source, zero, row, branches in rows:
+            compiled_row = shared.get((source, id(row), den))
+            if compiled_row is None:
+                compiled_row = tuple((off, weight_of(parts)) for off, parts in branches)
+                shared[(source, id(row), den)] = compiled_row
+            (moves_z if zero else moves_nz)[source] = None
+            (branch_z if zero else branch_nz)[source] = compiled_row
+        tables[symbol] = SymbolTable(moves_z, moves_nz, branch_z, branch_nz, den)
+    return tables
+
+
+def _compile(machine: CounterMachine) -> Kernel:
+    quantum = machine.mclass.quantum
+    keyed = [key for key in machine.transitions if key[0] != SINK]
+    named = chain(
+        machine.states,
+        (machine.initial,),
+        sorted(machine.accepting),
+        sorted(machine.neutral),
+        (state for state, _, _ in keyed),
+        (target for key in keyed for target, _, _ in machine.transitions[key]),
+    )
+    names = tuple(dict.fromkeys(name for name in named if name != SINK)) + (SINK,)
+    ids = {name: i for i, name in enumerate(names)}
+    tables = _tables(machine, ids, machine.transitions.items(), machine.tape_symbols)
+    las_vegas = machine.mclass.las_vegas
+    kinds = tuple(
+        ACCEPT
+        if name in machine.accepting
+        else NEUTRAL
+        if las_vegas and name in machine.neutral
+        else REJECT
+        for name in names
+    )
+    return Kernel(names, ids, machine.initial, quantum, machine.mclass.blind, kinds, tables)
+
+
+def compiled(machine: CounterMachine) -> Kernel:
+    """The machine's compiled form, built on first use and cached on it.
+
+    Sound because a machine's transition table is frozen: a changed
+    machine is a new object (``dataclasses.replace``) with its own cache.
+    """
+    kernel = machine.__dict__.get("_kernel")
+    if kernel is None:
+        kernel = _compile(machine)
+        object.__setattr__(machine, "_kernel", kernel)
+    return kernel
+
+
+# ---------------------------------------------------------------------------
+# Propagation.
+# ---------------------------------------------------------------------------
+
+
+def propagate(
+    kernel: Kernel,
+    tape: Iterable[str],
+    dist: IntDist | None = None,
+    den: int = 1,
+    keep: list | None = None,
+    tables: Mapping[str, SymbolTable] | None = None,
+) -> tuple[IntDist, int]:
+    """Advance through ``tape`` from ``dist`` over ``den`` (default: the
+    initial point mass); ``keep`` collects every step's (distribution, D).
+    ``tables`` replaces the kernel's own compiled rows.
+
+    This is the only propagation loop: every engine step of every class
+    runs through it.
+    """
+    if dist is None:
+        dist = {kernel.initial: kernel.unit}
+        den = 1
+    size = kernel.size
+    quantum = kernel.quantum
+    if tables is None:
+        tables = kernel.tables
+    for symbol in tape:
+        table = tables[symbol]
+        moves_z, moves_nz = table.moves_z, table.moves_nz
+        out: IntDist = {}
+        get = out.get
+        pending = None
+        for config, value in dist.items():
+            state = config % size
+            off = moves_z[state] if config == state else moves_nz[state]
+            if off is None:
+                if pending is None:
+                    pending = []
+                pending.append((config, value, state))
+                continue
+            config += off
+            prev = get(config)
+            out[config] = value if prev is None else prev + value
+        if pending is not None:
+            den = _branch(out, pending, den, table, quantum)
+        if quantum and QZERO in out.values():
+            # Paths met and interfered destructively: drop the exact zeros.
+            out = {config: value for config, value in out.items() if value != QZERO}
+        dist = out
+        if keep is not None:
+            keep.append((dist, den))
+    return dist, den
+
+
+def _branch(out: IntDist, pending: list, den: int, table: SymbolTable, quantum: bool) -> int:
+    """Add the multi-branch rows' mass to ``out``; returns the new ``D``.
+
+    The moves already in ``out`` are scaled to the symbol's denominator
+    first, and the gcd of everything is divided out afterwards.
+    """
+    step_den = table.den
+    if step_den != 1:
+        for config, value in out.items():
+            out[config] = value * step_den
+        den *= step_den
+    get = out.get
+    branch_z, branch_nz = table.branch_z, table.branch_nz
+    for config, value, state in pending:
+        for off, weight in (branch_z if config == state else branch_nz)[state]:
+            target = config + off
+            prev = get(target)
+            product = value * weight
+            out[target] = product if prev is None else prev + product
+    if step_den != 1:
+        common = gcd(den, *(chain.from_iterable(out.values()) if quantum else out.values()))
+        if common != 1:
+            den //= common
+            for config, value in out.items():
+                out[config] = value // common
+    return den
+
+
+# ---------------------------------------------------------------------------
+# Reading a final distribution: the one place outcomes become a Verdict.
+# ---------------------------------------------------------------------------
+
+
+def tally(parts: Iterable[tuple[int, int]], den: int) -> Verdict:
+    """Classical verdict from (outcome kind, mass) pairs over ``den``."""
+    sums = [0, 0, 0]
+    for kind, mass in parts:
+        sums[kind] += mass
+    total = sums[REJECT] + sums[ACCEPT] + sums[NEUTRAL]
+    return Verdict(
+        accept=Fraction(sums[ACCEPT], den),
+        reject=Fraction(total - sums[ACCEPT] - sums[NEUTRAL], den),
+        neutral=Fraction(sums[NEUTRAL], den),
+    )
+
+
+def born(parts: Iterable[tuple[bool, Quad]], den: int) -> Verdict:
+    """Quantum verdict from (accepting, amplitude) pairs over ``den``.
+
+    The total norm must be exactly ``den**2`` and the accepting mass free
+    of any sqrt2 component; either failure raises, never rounds.
+    """
+    total_rat = total_s2 = accept_rat = accept_s2 = 0
+    for accepting, (a, b, c, d) in parts:
+        rat = a * a + 2 * b * b + c * c + 2 * d * d
+        s2 = 2 * (a * b + c * d)
+        total_rat += rat
+        total_s2 += s2
+        if accepting:
+            accept_rat += rat
+            accept_s2 += s2
+    den2 = den * den
+    if total_s2 != 0 or total_rat != den2:
+        raise MeasurementError(
+            f"state vector norm^2 is {Fraction(total_rat, den2)} + "
+            f"{Fraction(total_s2, den2)}*sqrt2, expected exactly 1"
+        )
+    if accept_s2 != 0:
+        raise MeasurementError(
+            f"accept probability has sqrt2 residue {Fraction(accept_s2, den2)}; "
+            "machine is malformed"
+        )
+    accept = Fraction(accept_rat, den2)
+    return Verdict(accept=accept, reject=1 - accept)
+
+
+def read(kernel: Kernel, items: Iterable[tuple[int, object]], den: int) -> Verdict:
+    """The verdict of final (config, value) pairs over ``den``."""
+    kind = kernel.kind
+    if kernel.quantum:
+        return born(((kind(config) == ACCEPT, amp) for config, amp in items), den)
+    return tally(((kind(config), mass) for config, mass in items), den)
+
+
+def run_word(machine: CounterMachine, word: str) -> Verdict:
+    """Exact verdict of any machine class on a word: the one engine dispatch.
+
+    Classical machines yield their accept/reject/dontknow masses, quantum
+    machines the Born-rule probabilities of one final measurement.
+    """
+    kernel = compiled(machine)
+    dist, den = propagate(kernel, tape_of(word, machine.alphabet))
+    return read(kernel, dist.items(), den)
+
+
+# ---------------------------------------------------------------------------
+# Conversions for the public Fraction / Amplitude interfaces.
+# ---------------------------------------------------------------------------
+
+
+def exact_items(
+    kernel: Kernel, dist: Mapping[tuple[str, int], object]
+) -> tuple[list[tuple[int, object]], int]:
+    """(config, integer value) pairs of a ``Fraction`` distribution or an
+    ``Amplitude`` vector, over their least common denominator."""
+    if kernel.quantum:
+        vector = [(key, Amplitude._coerce(amp)) for key, amp in dist.items()]
+        vector = [(key, amp) for key, amp in vector if not amp.is_zero()]
+        den = lcm(*(part.denominator for _, amp in vector for part in amp._parts()))
+        items = [(key, Quad.of(amp, den)) for key, amp in vector]
+    else:
+        den = lcm(*(mass.denominator for mass in dist.values()))
+        items = [(key, _scaled(mass, den)) for key, mass in dist.items()]
+    config_id = kernel.config_id
+    return [(config_id(*key), value) for key, value in items], den
+
+
+def from_exact(kernel: Kernel, dist: Mapping[tuple[str, int], object]) -> tuple[IntDist, int]:
+    """A ``Fraction`` distribution or ``Amplitude`` vector in compiled form."""
+    items, den = exact_items(kernel, dist)
+    out: IntDist = {}
+    for config, value in items:
+        prev = out.get(config)
+        out[config] = value if prev is None else prev + value
+    return out, den
+
+
+def to_exact(kernel: Kernel, dist: IntDist, den: int) -> dict:
+    """The compiled distribution as ``Fraction`` masses or ``Amplitude`` values."""
+    config = kernel.config
+    if kernel.quantum:
+        return {config(key): amp.amplitude(den) for key, amp in dist.items()}
+    return {config(key): Fraction(mass, den) for key, mass in dist.items()}
+
+
+def step_exact(machine: CounterMachine, dist: Mapping[tuple[str, int], object], symbol: str) -> dict:
+    """One step of a ``Fraction`` distribution or an ``Amplitude`` vector.
+
+    The rows are read through ``machine.entries``, one lookup per
+    configuration held, so a single step sees the table through the
+    machine's total lookup as it always has; the step itself runs
+    through :func:`propagate`.
+    """
+    kernel = compiled(machine)
+    values, den = from_exact(kernel, dist)
+    names, size = kernel.names, kernel.size
+    rows = {}
+    for config in values:
+        state = config % size
+        key = (names[state], symbol, Z if config == state else NZ)
+        rows[key] = machine.entries(*key)
+    tables = _tables(machine, kernel.ids, rows.items(), (symbol,))
+    return to_exact(kernel, *propagate(kernel, (symbol,), values, den, tables=tables))

@@ -92,17 +92,26 @@ def classify_xoreq(word: str) -> str:
 
 
 def _gen_xoreq(n: int) -> list[Instance]:
-    """All promised tuples with a,b,c,d even in [2, n] and offsets in [0, 4]."""
+    """All promised tuples with a,b,c,d even in [2, n] and offsets in [0, 4].
+
+    The tuples come in lexicographic order.  The promise fixes l1 - l2 once
+    a, b, c, d, k1, k2 are chosen, so only promised words are ever built.
+    """
     _check_ceiling(n)
     sizes = range(2, n + 1, 2)
     offsets = range(0, 5)
     out: list[Instance] = []
     for a, b, c, d in product(sizes, repeat=4):
-        for k1, k2, l1, l2 in product(offsets, repeat=4):
-            word = xoreq_word(a, b, c, d, k1, k2, l1, l2)
-            label = classify_xoreq(word)
-            if label != OUTSIDE:
-                out.append((word, label))
+        label = YES if (a == c) != (b == d) else NO
+        sign_k = -1 if a == c else 1
+        sign_l = -1 if b == d else 1
+        for k1, k2 in product(offsets, repeat=2):
+            left = a - c + sign_k * (k1 - k2)
+            gap = sign_l * (left - (b - d))  # the l1 - l2 that makes right == left
+            for l1 in offsets:
+                l2 = l1 - gap
+                if 0 <= l2 <= 4:
+                    out.append((xoreq_word(a, b, c, d, k1, k2, l1, l2), label))
     return out
 
 
@@ -208,20 +217,34 @@ def _onenone_vocab(t: int) -> tuple[list[str], list[str]]:
     return _ONENONE_VOCAB[t]
 
 
+def _blocks_within(vocabs: list[list[str]], budget: int) -> Iterator[tuple[str, ...]]:
+    """The tuples of ``product(*vocabs)``, in its order, of total length <= budget."""
+    if not vocabs:
+        yield ()
+        return
+    if not all(vocabs):
+        return
+    head, rest = vocabs[0], vocabs[1:]
+    least_rest = sum(min(map(len, vocab)) for vocab in rest)
+    for u in head:
+        if len(u) + least_rest <= budget:
+            for tail in _blocks_within(rest, budget - len(u)):
+                yield (u, *tail)
+
+
 def _gen_onenone(t: int, n: int) -> list[Instance]:
     """Alternating-block instances with minimal d-runs (|y| = |u|).
 
     Enumerates every block tuple over the per-t vocabulary whose total
-    length fits within n, yes and no shapes both.
+    length fits within n, yes and no shapes both.  A block u costs 2|u|
+    letters, so tuples are pruned on their u-length before any joining.
     """
     _check_ceiling(n, ceiling=200)
     ones, nones = _onenone_vocab(t)
     out: list[Instance] = []
     for label, first, second in ((YES, ones, nones), (NO, nones, ones)):
-        for blocks in product(*([first, second] * t)):
-            word = "".join(u + "d" * len(u) for u in blocks)
-            if len(word) <= n:
-                out.append((word, label))
+        for blocks in _blocks_within([first, second] * t, n // 2):
+            out.append(("".join(u + "d" * len(u) for u in blocks), label))
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import kernel as _kernel
 from .amplitudes import AMP_ONE, Amplitude
 from .core import (
     SINK,
@@ -25,13 +26,10 @@ from .core import (
     status_of,
     tape_of,
 )
+from .kernel import MeasurementError  # noqa: F401  (part of this module's interface)
 
 Config = tuple[str, int]
 StateVector = dict[Config, Amplitude]
-
-
-class MeasurementError(SimulationError):
-    """A final probability failed an exactness check (bad norm or sqrt2 residue)."""
 
 
 def _require_quantum(machine: CounterMachine) -> None:
@@ -50,13 +48,12 @@ def evolve(machine: CounterMachine, psi: StateVector, symbol: str) -> StateVecto
     _require_quantum(machine)
     if symbol not in machine.tape_symbols:
         raise SimulationError(f"symbol {symbol!r} is not on this machine's tape")
-    out: StateVector = {}
-    for (state, counter), amp in psi.items():
-        for target, delta, weight in machine.entries(state, symbol, status_of(counter)):
-            key = (target, counter + delta)
-            prev = out.get(key)
-            out[key] = amp * weight if prev is None else prev + amp * weight
-    return {key: amp for key, amp in out.items() if not amp.is_zero()}
+    return _kernel.step_exact(machine, psi, symbol)
+
+
+# The code of this module's own ``evolve``: a wrapper or a replacement bound
+# to the name (even to every name of the function) has other code.
+_OWN_EVOLVE = evolve.__code__
 
 
 def norm_squared(psi: StateVector) -> tuple[Fraction, Fraction]:
@@ -78,31 +75,21 @@ def measure(machine: CounterMachine, psi: StateVector) -> Verdict:
     come out as plain rationals (sqrt2 components cancel for any machine
     whose operators are unitary); a residue is raised, not rounded.
     """
-    accept_rat = Fraction(0)
-    accept_s2 = Fraction(0)
-    total_rat = Fraction(0)
-    total_s2 = Fraction(0)
-    for (state, _counter), amp in psi.items():
-        part_rat, part_s2 = amp.abs2()
-        total_rat += part_rat
-        total_s2 += part_s2
-        if state in machine.accepting:
-            accept_rat += part_rat
-            accept_s2 += part_s2
-    if total_s2 != 0 or total_rat != 1:
-        raise MeasurementError(
-            f"state vector norm^2 is {total_rat} + {total_s2}*sqrt2, expected exactly 1"
-        )
-    if accept_s2 != 0:
-        raise MeasurementError(
-            f"accept probability has sqrt2 residue {accept_s2}; machine is malformed"
-        )
-    return Verdict(accept=accept_rat, reject=1 - accept_rat)
+    _require_quantum(machine)
+    kernel = _kernel.compiled(machine)
+    return _kernel.read(kernel, *_kernel.exact_items(kernel, psi))
 
 
 def run_quantum(machine: CounterMachine, word: str) -> Verdict:
-    """Evolve through the framed input, then measure once."""
+    """Evolve through the framed input, then measure once.
+
+    While ``evolve`` is this module's own function the compiled kernel
+    runs the whole tape in one go; once the name is rebound, every symbol
+    goes through it.
+    """
     _require_quantum(machine)
+    if getattr(evolve, "__code__", None) is _OWN_EVOLVE:
+        return _kernel.run_word(machine, word)
     psi = initial_vector(machine)
     for symbol in tape_of(word, machine.alphabet):
         psi = evolve(machine, psi, symbol)
@@ -153,58 +140,45 @@ class UnitarityReport:
 
 
 def _gram_violations(
-    symbol: str,
-    vectors: dict[Config, dict[Config, Amplitude]],
-    keys: list[Config],
-) -> list[PairEntry]:
+    vectors: dict[int, dict[int, _kernel.Quad]],
+    keys: list[int],
+    unit: _kernel.Quad,
+) -> list[tuple[int, int, _kernel.Quad]]:
     """Orthonormality failures among ``vectors[key]`` for ``key`` in ``keys``.
 
     Two vectors have a nonzero inner product only if they share a support
     configuration, so the Gram matrix is accumulated through shared-support
-    buckets instead of all-pairs products; the result is identical.
+    buckets instead of all-pairs products; the result is identical.  A
+    vector has norm ``unit`` when it is normalised.
     """
     index = {key: i for i, key in enumerate(keys)}
-    buckets: dict[Config, list[tuple[Config, Amplitude]]] = {}
+    buckets: dict[int, list[tuple[int, _kernel.Quad]]] = {}
     for key in keys:
         for support, amp in vectors.get(key, {}).items():
             buckets.setdefault(support, []).append((key, amp))
 
-    gram: dict[tuple[Config, Config], Amplitude] = {}
-    zero = Amplitude()
+    gram: dict[tuple[int, int], _kernel.Quad] = {}
     for entries in buckets.values():
+        # Entries follow ``keys``, so each pair is stored lower index first,
+        # with the conjugate on that first vector.
         for i, (key_a, amp_a) in enumerate(entries):
             conj_a = amp_a.conjugate()
             for key_b, amp_b in entries[i:]:
-                # <a|b> with the conjugate on the first argument; pairs are
-                # stored with the lower declaration index first.
-                if index[key_a] <= index[key_b]:
-                    pair, term = (key_a, key_b), conj_a * amp_b
-                else:
-                    pair, term = (key_b, key_a), amp_b.conjugate() * amp_a
+                pair = (key_a, key_b)
+                term = conj_a * amp_b
                 prev = gram.get(pair)
                 gram[pair] = term if prev is None else prev + term
 
-    violations: list[PairEntry] = []
+    violations = []
     for key in keys:
-        if gram.pop((key, key), zero) != AMP_ONE:
-            product = _gram_recompute(vectors.get(key, {}), vectors.get(key, {}))
-            violations.append((symbol, key, key, product))
+        product = gram.pop((key, key), _kernel.QZERO)
+        if product != unit:
+            violations.append((key, key, product))
     for (key_a, key_b), product in gram.items():
-        if not product.is_zero():
-            violations.append((symbol, key_a, key_b, product))
-    violations.sort(key=lambda entry: (index[entry[1]], index[entry[2]]))
+        if product != _kernel.QZERO:
+            violations.append((key_a, key_b, product))
+    violations.sort(key=lambda entry: (index[entry[0]], index[entry[1]]))
     return violations
-
-
-def _gram_recompute(
-    vec_a: dict[Config, Amplitude], vec_b: dict[Config, Amplitude]
-) -> Amplitude:
-    total = Amplitude()
-    for key, amp_a in vec_a.items():
-        amp_b = vec_b.get(key)
-        if amp_b is not None:
-            total = total + amp_a.conjugate() * amp_b
-    return total
 
 
 def check_unitarity(machine: CounterMachine) -> UnitarityReport:
@@ -217,47 +191,54 @@ def check_unitarity(machine: CounterMachine) -> UnitarityReport:
     combination — columns further apart than 2m cannot overlap — and
     likewise for rows.  Columns are built from sources in {-3m..3m} so
     that rows over the window see all of their mass.  The implicit sink
-    state takes part like any other state.
+    state takes part like any other state.  Columns come from the
+    compiled rows, weights over the symbol's denominator ``den``, so a
+    normalised column has integer norm ``den**2``.
     """
     _require_quantum(machine)
+    kernel = _kernel.compiled(machine)
+    size = kernel.size
     m = machine.max_step
-    window = range(-2 * m, 2 * m + 1)
-    source_window = range(-3 * m, 3 * m + 1)
     states = list(machine.states)
     if SINK not in states:
         states.append(SINK)
+    ids = [kernel.ids[state] for state in states]
+    window = [counter * size + s for s in ids for counter in range(-2 * m, 2 * m + 1)]
+    low, high = -2 * m * size, (2 * m + 1) * size
 
     isometry: list[PairEntry] = []
     coisometry: list[PairEntry] = []
     for symbol in machine.tape_symbols:
-        columns: dict[Config, dict[Config, Amplitude]] = {}
-        for state in states:
-            for counter in source_window:
-                column: dict[Config, Amplitude] = {}
-                for target, delta, weight in machine.entries(
-                    state, symbol, status_of(counter)
-                ):
-                    key = (target, counter + delta)
-                    prev = column.get(key)
-                    value = weight if prev is None else prev + weight
-                    column[key] = value
-                columns[(state, counter)] = {
-                    key: amp for key, amp in column.items() if not amp.is_zero()
+        table = kernel.tables[symbol]
+        unit = _kernel.Quad(table.den)
+        columns: dict[int, dict[int, _kernel.Quad]] = {}
+        for s in ids:
+            for counter in range(-3 * m, 3 * m + 1):
+                source = counter * size + s
+                column: dict[int, _kernel.Quad] = {}
+                for off, weight in table.branches(s, counter == 0, unit):
+                    prev = column.get(source + off)
+                    column[source + off] = weight if prev is None else prev + weight
+                columns[source] = {
+                    key: amp for key, amp in column.items() if amp != _kernel.QZERO
                 }
 
-        window_sources = [
-            (state, counter) for state in states for counter in window
-        ]
-        isometry.extend(_gram_violations(symbol, columns, window_sources))
-
-        rows: dict[Config, dict[Config, Amplitude]] = {}
+        rows: dict[int, dict[int, _kernel.Quad]] = {}
         for source, column in columns.items():
             for target, amp in column.items():
-                if -2 * m <= target[1] <= 2 * m:
+                if low <= target < high:
                     rows.setdefault(target, {})[source] = amp
-        window_targets = [
-            (state, counter) for state in states for counter in window
-        ]
-        coisometry.extend(_gram_violations(symbol, rows, window_targets))
+
+        den2 = table.den * table.den
+        for out, vectors in ((isometry, columns), (coisometry, rows)):
+            for key_a, key_b, product in _gram_violations(vectors, window, _kernel.Quad(den2)):
+                out.append(
+                    (
+                        symbol,
+                        kernel.config(key_a),
+                        kernel.config(key_b),
+                        product.amplitude(den2),
+                    )
+                )
 
     return UnitarityReport(tuple(isometry), tuple(coisometry))

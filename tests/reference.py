@@ -1,0 +1,246 @@
+"""Test-only reference engine: the direct ``Fraction`` / ``Amplitude`` one.
+
+These are the engines the package ran before its compiled integer
+kernel: every configuration of every step looks its row up with
+``machine.entries`` and multiplies exact rationals or ring elements.
+They are slow and obviously right, which is what a reference for the
+kernel must be.  The old instance generators are kept here too, so the
+faster ones can be checked for identical lists.
+"""
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+from itertools import product
+
+from ocalab import (
+    AMP_ONE,
+    SINK,
+    Amplitude,
+    MeasurementError,
+    SimulationError,
+    UnitarityReport,
+    Verdict,
+    status_of,
+    tape_of,
+)
+from ocalab.problems import OUTSIDE, _onenone_vocab, classify_xoreq, xoreq_word
+
+
+# ---------------------------------------------------------------------------
+# Classical.
+# ---------------------------------------------------------------------------
+
+
+def ref_step(machine, dist, symbol):
+    out = {}
+    for (state, counter), mass in dist.items():
+        for target, delta, weight in machine.entries(state, symbol, status_of(counter)):
+            key = (target, counter + delta)
+            prev = out.get(key)
+            out[key] = mass * weight if prev is None else prev + mass * weight
+    return out
+
+
+def ref_verdict_of(machine, dist):
+    blind = machine.mclass.blind
+    las_vegas = machine.mclass.las_vegas
+    accept = Fraction(0)
+    neutral = Fraction(0)
+    total = Fraction(0)
+    for (state, counter), mass in dist.items():
+        total += mass
+        if state in machine.accepting and (not blind or counter == 0):
+            accept += mass
+        elif las_vegas and state in machine.neutral and (not blind or counter == 0):
+            neutral += mass
+    return Verdict(accept=accept, reject=total - accept - neutral, neutral=neutral)
+
+
+def ref_distributions(machine, word):
+    """Every distribution of a classical run, one per tape symbol."""
+    dist = {(machine.initial, 0): Fraction(1)}
+    out = []
+    for symbol in tape_of(word, machine.alphabet):
+        dist = ref_step(machine, dist, symbol)
+        out.append(dist)
+    return out
+
+
+def ref_run(machine, word):
+    return ref_verdict_of(machine, ref_distributions(machine, word)[-1])
+
+
+def ref_sample_run(machine, word, seed):
+    rng = random.Random(seed)
+    state, counter = machine.initial, 0
+    for symbol in tape_of(word, machine.alphabet):
+        row = machine.entries(state, symbol, status_of(counter))
+        if len(row) == 1:
+            target, delta, _ = row[0]
+        else:
+            weights = [w for _, _, w in row]
+            denom = math.lcm(*(w.denominator for w in weights))
+            draw = rng.randrange(denom)
+            acc = 0
+            target, delta = row[-1][0], row[-1][1]
+            for branch_target, branch_delta, weight in row:
+                acc += weight.numerator * (denom // weight.denominator)
+                if draw < acc:
+                    target, delta = branch_target, branch_delta
+                    break
+        state, counter = target, counter + delta
+    blind = machine.mclass.blind
+    if state in machine.accepting and (not blind or counter == 0):
+        return "accept"
+    if machine.mclass.las_vegas and state in machine.neutral and (not blind or counter == 0):
+        return "dontknow"
+    return "reject"
+
+
+# ---------------------------------------------------------------------------
+# Quantum.
+# ---------------------------------------------------------------------------
+
+
+def ref_evolve(machine, psi, symbol):
+    out = {}
+    for (state, counter), amp in psi.items():
+        for target, delta, weight in machine.entries(state, symbol, status_of(counter)):
+            key = (target, counter + delta)
+            prev = out.get(key)
+            out[key] = amp * weight if prev is None else prev + amp * weight
+    return {key: amp for key, amp in out.items() if not amp.is_zero()}
+
+
+def ref_measure(machine, psi):
+    accept_rat = Fraction(0)
+    accept_s2 = Fraction(0)
+    total_rat = Fraction(0)
+    total_s2 = Fraction(0)
+    for (state, _counter), amp in psi.items():
+        part_rat, part_s2 = amp.abs2()
+        total_rat += part_rat
+        total_s2 += part_s2
+        if state in machine.accepting:
+            accept_rat += part_rat
+            accept_s2 += part_s2
+    if total_s2 != 0 or total_rat != 1:
+        raise MeasurementError(
+            f"state vector norm^2 is {total_rat} + {total_s2}*sqrt2, expected exactly 1"
+        )
+    if accept_s2 != 0:
+        raise MeasurementError(
+            f"accept probability has sqrt2 residue {accept_s2}; machine is malformed"
+        )
+    return Verdict(accept=accept_rat, reject=1 - accept_rat)
+
+
+def ref_vectors(machine, word):
+    """Every state vector of a quantum run, one per tape symbol."""
+    psi = {(machine.initial, 0): AMP_ONE}
+    out = []
+    for symbol in tape_of(word, machine.alphabet):
+        psi = ref_evolve(machine, psi, symbol)
+        out.append(psi)
+    return out
+
+
+def ref_run_quantum(machine, word):
+    return ref_measure(machine, ref_vectors(machine, word)[-1])
+
+
+def _ref_gram_violations(symbol, vectors, keys):
+    index = {key: i for i, key in enumerate(keys)}
+    buckets = {}
+    for key in keys:
+        for support, amp in vectors.get(key, {}).items():
+            buckets.setdefault(support, []).append((key, amp))
+    gram = {}
+    for entries in buckets.values():
+        for i, (key_a, amp_a) in enumerate(entries):
+            conj_a = amp_a.conjugate()
+            for key_b, amp_b in entries[i:]:
+                if index[key_a] <= index[key_b]:
+                    pair, term = (key_a, key_b), conj_a * amp_b
+                else:
+                    pair, term = (key_b, key_a), amp_b.conjugate() * amp_a
+                prev = gram.get(pair)
+                gram[pair] = term if prev is None else prev + term
+    violations = []
+    for key in keys:
+        if gram.pop((key, key), Amplitude()) != AMP_ONE:
+            vec = vectors.get(key, {})
+            product_ = Amplitude()
+            for support, amp in vec.items():
+                product_ = product_ + amp.conjugate() * amp
+            violations.append((symbol, key, key, product_))
+    for (key_a, key_b), product_ in gram.items():
+        if not product_.is_zero():
+            violations.append((symbol, key_a, key_b, product_))
+    violations.sort(key=lambda entry: (index[entry[1]], index[entry[2]]))
+    return violations
+
+
+def ref_check_unitarity(machine):
+    """The Amplitude column builder and Gram check, windows as documented."""
+    if not machine.mclass.quantum:
+        raise SimulationError("quantum machines only")
+    m = machine.max_step
+    window = range(-2 * m, 2 * m + 1)
+    source_window = range(-3 * m, 3 * m + 1)
+    states = list(machine.states)
+    if SINK not in states:
+        states.append(SINK)
+    isometry, coisometry = [], []
+    for symbol in machine.tape_symbols:
+        columns = {}
+        for state in states:
+            for counter in source_window:
+                column = {}
+                for target, delta, weight in machine.entries(state, symbol, status_of(counter)):
+                    key = (target, counter + delta)
+                    prev = column.get(key)
+                    column[key] = weight if prev is None else prev + weight
+                columns[(state, counter)] = {
+                    key: amp for key, amp in column.items() if not amp.is_zero()
+                }
+        window_keys = [(state, counter) for state in states for counter in window]
+        isometry.extend(_ref_gram_violations(symbol, columns, window_keys))
+        rows = {}
+        for source, column in columns.items():
+            for target, amp in column.items():
+                if -2 * m <= target[1] <= 2 * m:
+                    rows.setdefault(target, {})[source] = amp
+        coisometry.extend(_ref_gram_violations(symbol, rows, window_keys))
+    return UnitarityReport(tuple(isometry), tuple(coisometry))
+
+
+# ---------------------------------------------------------------------------
+# Instance generators as they were: build every candidate, then classify.
+# ---------------------------------------------------------------------------
+
+
+def ref_gen_xoreq(n):
+    sizes = range(2, n + 1, 2)
+    offsets = range(0, 5)
+    out = []
+    for a, b, c, d in product(sizes, repeat=4):
+        for k1, k2, l1, l2 in product(offsets, repeat=4):
+            word = xoreq_word(a, b, c, d, k1, k2, l1, l2)
+            label = classify_xoreq(word)
+            if label != OUTSIDE:
+                out.append((word, label))
+    return out
+
+
+def ref_gen_onenone(t, n):
+    ones, nones = _onenone_vocab(t)
+    out = []
+    for label, first, second in (("yes", ones, nones), ("no", nones, ones)):
+        for blocks in product(*([first, second] * t)):
+            word = "".join(u + "d" * len(u) for u in blocks)
+            if len(word) <= n:
+                out.append((word, label))
+    return out

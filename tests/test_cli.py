@@ -331,3 +331,23 @@ def test_zoo_emit_to_stdout(capsys):
 def test_zoo_emit_unknown_name(capsys):
     assert main(["zoo", "emit", "ghost"]) == EXIT_INVALID
     assert "unknown zoo machine" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name", ["eq-star-p1bca-k10", "onenone-lv-t0", "eq3-p1bca-k1"]
+)
+def test_run_out_of_range_family_parameter_is_a_usage_error(name, capsys):
+    code = main(["run", name, "--input", "ab"])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"{name}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_batch_and_emit_out_of_range_family_parameter(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["batch", "--zoo", "eq3-p1bca-k1", "--max-n", "2", "--out", str(out)]) == EXIT_INVALID
+    assert "k must be" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["zoo", "emit", "onenone-lv-t0"]) == EXIT_INVALID
+    assert "t must be" in capsys.readouterr().err

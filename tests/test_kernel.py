@@ -1,0 +1,375 @@
+"""The compiled integer kernel against the direct Fraction/Amplitude reference."""
+import dataclasses
+import functools
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ocalab.classical
+import ocalab.quantum
+from helpers import F, L, R, hadamard2, hadamard2_broken, mk
+from ocalab import (
+    AMP_HALF,
+    AMP_INV_SQRT2,
+    AMP_ONE,
+    AMP_ZERO,
+    Amplitude,
+    MachineClass,
+    MeasurementError,
+    build_m1,
+    build_xoreq_q1ca,
+    check_unitarity,
+    classify_xoreq,
+    evolve,
+    generate,
+    get_entry,
+    initial_distribution,
+    initial_vector,
+    measure,
+    run,
+    run_quantum,
+    run_trace,
+    sample_run,
+    step,
+    tape_of,
+    verdict_of,
+    xoreq_word,
+    zoo_names,
+)
+from ocalab.kernel import compiled, propagate, run_word
+from reference import (
+    ref_check_unitarity,
+    ref_distributions,
+    ref_gen_onenone,
+    ref_gen_xoreq,
+    ref_measure,
+    ref_run,
+    ref_run_quantum,
+    ref_sample_run,
+    ref_vectors,
+    ref_verdict_of,
+)
+
+AMPLITUDES = (
+    AMP_ONE,
+    -AMP_ONE,
+    AMP_HALF,
+    -AMP_HALF,
+    AMP_INV_SQRT2,
+    -AMP_INV_SQRT2,
+    Amplitude(0, 0, 1),
+    Amplitude(0, 0, 0, F(1, 2)),
+    AMP_ZERO,
+)
+
+
+@st.composite
+def small_machines(draw):
+    """Random small machines of every class, well typed but not unitary."""
+    mclass = draw(st.sampled_from(list(MachineClass)))
+    states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    alphabet = draw(st.sampled_from(["a", "ab"]))
+    max_step = draw(st.integers(1, 2))
+    target = st.sampled_from(states)
+    delta = st.integers(-max_step, max_step)
+
+    def branches():
+        if mclass.deterministic:
+            return [(draw(target), draw(delta), F(1))]
+        count = draw(st.integers(1, 3))
+        if mclass.quantum:
+            return [
+                (draw(target), draw(delta), draw(st.sampled_from(AMPLITUDES)))
+                for _ in range(count)
+            ]
+        weights = [draw(st.integers(1, 4)) for _ in range(count)]
+        return [(draw(target), draw(delta), F(w, sum(weights))) for w in weights]
+
+    rows = []
+    for state in states:
+        for symbol in [*alphabet, L, R]:
+            statuses = draw(
+                st.sampled_from([("*",), ()] if mclass.blind else [("*",), ("Z", "NZ"), ("Z",), ()])
+            )
+            for status in statuses:
+                rows.append((state, symbol, status, branches()))
+    accepting = draw(st.sets(st.sampled_from(states)))
+    neutral = ()
+    if mclass.las_vegas:
+        neutral = draw(st.sets(st.sampled_from([s for s in states if s not in accepting] or states)))
+        neutral = set(neutral) - accepting
+    return mk(
+        "random", mclass.tag, alphabet, states, states[0], accepting, rows,
+        neutral=neutral, max_step=max_step,
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MeasurementError as exc:
+        return ("MeasurementError", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_machines(), st.data())
+def test_kernel_matches_reference_on_random_machines(machine, data):
+    word = data.draw(st.text(alphabet=machine.alphabet, max_size=7))
+    tape = tape_of(word, machine.alphabet)
+    if machine.mclass.quantum:
+        expected = ref_vectors(machine, word)
+        psi = initial_vector(machine)
+        for symbol, want in zip(tape, expected):
+            psi = evolve(machine, psi, symbol)
+            assert psi == want
+        assert _outcome(run_quantum, machine, word) == _outcome(ref_run_quantum, machine, word)
+        assert _outcome(measure, machine, psi) == _outcome(ref_measure, machine, psi)
+        assert check_unitarity(machine) == ref_check_unitarity(machine)
+    else:
+        expected = ref_distributions(machine, word)
+        trace = run_trace(machine, word, keep_distributions=True)
+        assert trace.distributions == tuple(expected)
+        assert trace.final == expected[-1]
+        dist = initial_distribution(machine)
+        for symbol, want in zip(tape, expected):
+            dist = step(machine, dist, symbol)
+            assert dist == want
+        verdict = ref_run(machine, word)
+        assert run(machine, word) == verdict == trace.verdict
+        assert verdict_of(machine, dist) == ref_verdict_of(machine, dist)
+        for seed in range(3):
+            assert sample_run(machine, word, seed) == ref_sample_run(machine, word, seed)
+    assert _outcome(run_word, machine, word) == (
+        _outcome(ref_run_quantum, machine, word)
+        if machine.mclass.quantum
+        else ref_run(machine, word)
+    )
+
+
+# Every zoo machine on a slice of its own problem's grid.
+ZOO_GRIDS = {
+    "m1": (4, 1),
+    "m2": (4, 1),
+    "xoreq-q1ca": (4, 7),
+    "onenone-lv": (10, 1),
+    "onenone-lv-t2": (16, 5),
+    "eq-star-p1bca-k3": (8, 1),
+    "eq3-p1bca-k4": (6, 1),
+    "eq-star-complement-d1ca": (8, 1),
+    "lang-L-p1ca-k3": (6, 1),
+}
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_kernel_matches_reference_on_zoo_grids(name):
+    entry = get_entry(name)
+    bound, stride = ZOO_GRIDS[name]
+    reference = ref_run_quantum if entry.machine.mclass.quantum else ref_run
+    instances = generate(entry.problem, bound)[::stride]
+    assert instances
+    for word, _label in instances:
+        assert run_word(entry.machine, word) == reference(entry.machine, word), word
+
+
+def test_unitarity_reports_match_reference_on_xoreq():
+    machine = get_entry("xoreq-q1ca").machine
+    assert check_unitarity(machine) == ref_check_unitarity(machine)
+    key = (machine.initial, L, "Z")
+    row = machine.transitions[key]
+    transitions = dict(machine.transitions)
+    transitions[key] = ((row[0][0], row[0][1], row[0][2] * F(1, 2)),) + row[1:]
+    perturbed = dataclasses.replace(machine, transitions=transitions)
+    report = check_unitarity(perturbed)
+    assert not report.ok
+    assert report == ref_check_unitarity(perturbed)
+
+
+def test_long_quantum_run_keeps_a_small_denominator():
+    # a == c and b != d: a yes-instance with blocks far longer than the grid's.
+    word = xoreq_word(60, 40, 60, 46, 0, 2, 8, 0)
+    assert classify_xoreq(word) == "yes"
+    machine = get_entry("xoreq-q1ca").machine
+    kernel = compiled(machine)
+    _, den = propagate(kernel, tape_of(word, machine.alphabet))
+    assert den == 2
+    assert run_quantum(machine, word) == ref_run_quantum(machine, word)
+    assert run_quantum(machine, word).accept == 1
+
+
+def test_gcd_rescale_undoes_sqrt2_growth():
+    # Each 'a' multiplies by 1/sqrt2; without the gcd rescale D would double
+    # every step and reach 2**40.
+    machine = hadamard2()
+    word = "a" * 40
+    kernel = compiled(machine)
+    dist, den = propagate(kernel, tape_of(word, machine.alphabet))
+    assert den == 1 and dist == {kernel.initial: (1, 0, 0, 0)}
+    assert run_quantum(machine, word + "a") == ref_run_quantum(machine, word + "a")
+
+
+def test_measurement_errors_match_reference():
+    machine = hadamard2()
+    short = {("q", 0): AMP_HALF}
+    with pytest.raises(MeasurementError, match="norm") as got:
+        measure(machine, short)
+    with pytest.raises(MeasurementError) as want:
+        ref_measure(machine, short)
+    assert str(got.value) == str(want.value)
+
+    residue = mk("residue", "q1ca", "a", ("acc", "r1", "r2", "r3", "r4"), "acc", ("acc",), [])
+    psi = {
+        ("acc", 0): Amplitude(F(1, 4), F(1, 4)),
+        ("r1", 0): Amplitude(F(1, 4), F(-1, 4)),
+        ("r2", 0): AMP_HALF,
+        ("r3", 0): AMP_HALF,
+        ("r4", 0): Amplitude(0, F(1, 4)),
+    }
+    with pytest.raises(MeasurementError, match="residue") as got:
+        measure(residue, psi)
+    with pytest.raises(MeasurementError) as want:
+        ref_measure(residue, psi)
+    assert str(got.value) == str(want.value)
+
+    broken = hadamard2_broken()
+    assert _outcome(run_quantum, broken, "a") == _outcome(ref_run_quantum, broken, "a")
+    assert _outcome(run_quantum, broken, "a")[0] == "MeasurementError"
+
+
+def test_sampling_draws_as_the_reference():
+    machine = get_entry("onenone-lv-t2").machine
+    for word in ("adaabddd", "aabdddad", "adaabdddadaabddd"):
+        for seed in range(200):
+            assert sample_run(machine, word, seed) == ref_sample_run(machine, word, seed)
+
+
+# ---------------------------------------------------------------------------
+# Frozen tables and the compile cache.
+# ---------------------------------------------------------------------------
+
+
+def test_machine_tables_are_frozen():
+    machine = get_entry("m1").machine
+    key = next(iter(machine.transitions))
+    with pytest.raises(TypeError):
+        machine.transitions[key] = ()
+    with pytest.raises(TypeError):
+        del machine.transitions[key]
+    assert machine.transitions == dict(machine.transitions)
+    assert dict(machine.transitions) == machine.transitions
+
+
+def test_builder_tables_are_copied_not_shared():
+    machine = mk("copy", "d1ca", "a", ("s",), "s", ("s",), [("s", L, "*", [("s", 0, F(1))])])
+    source = dict(machine.transitions)
+    copy = dataclasses.replace(machine, transitions=source)
+    source[("s", "a", "Z")] = (("s", 1, F(1)),)
+    assert ("s", "a", "Z") not in copy.transitions
+    assert copy == machine
+
+
+def test_compile_is_lazy_and_cached():
+    machine = build_m1()
+    entry = get_entry("eq-star-p1bca-k7")
+    assert "_kernel" not in machine.__dict__
+    assert "_kernel" not in entry.machine.__dict__
+    run(machine, "00#00")
+    kernel = compiled(machine)
+    assert compiled(machine) is kernel
+    renamed = dataclasses.replace(machine, name="m1-copy")
+    assert "_kernel" not in renamed.__dict__
+    assert compiled(renamed) is not kernel
+
+
+def test_replaced_transitions_compile_afresh():
+    good = hadamard2()
+    assert run_quantum(good, "aa").accept == 1
+    broken = hadamard2_broken()
+    assert compiled(broken) is not compiled(good)
+    assert _outcome(run_quantum, broken, "aa")[0] == "MeasurementError"
+    assert run_quantum(good, "aa").accept == 1
+
+
+def test_compiled_xoreq_stays_small():
+    machine = build_xoreq_q1ca()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kernel = compiled(machine)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kernel is compiled(machine)
+    assert size < 500_000
+
+
+def test_one_engine_dispatch():
+    classical = get_entry("onenone-lv").machine
+    quantum = get_entry("xoreq-q1ca").machine
+    assert run_word(classical, "adaabddd") == run(classical, "adaabddd")
+    word = generate("xor-eq", 2)[0][0]
+    assert run_word(quantum, word) == run_quantum(quantum, word)
+
+
+@pytest.mark.parametrize(
+    "name, module, attr, runner",
+    [
+        ("onenone-lv", ocalab.classical, "step", ocalab.classical.run),
+        ("eq3-p1bca-k4", ocalab.classical, "step", ocalab.classical.run),
+        ("xoreq-q1ca", ocalab.quantum, "evolve", ocalab.quantum.run_quantum),
+    ],
+)
+def test_run_folds_a_rebound_step(monkeypatch, name, module, attr, runner):
+    entry = get_entry(name)
+    word = generate(entry.problem, ZOO_GRIDS[name][0])[-1][0]
+    own = getattr(module, attr)
+    seen = []
+
+    @functools.wraps(own)
+    def observed(machine, dist, symbol):
+        seen.append(symbol)
+        return own(machine, dist, symbol)
+
+    monkeypatch.setattr(module, attr, observed)
+    assert runner(entry.machine, word) == run_word(entry.machine, word)
+    assert seen == list(tape_of(word, entry.machine.alphabet))
+    monkeypatch.undo()
+    seen.clear()
+    assert runner(entry.machine, word) == run_word(entry.machine, word)
+    assert seen == []
+
+
+def test_a_step_reads_rows_through_entries(monkeypatch):
+    machine = get_entry("eq3-p1bca-k4").machine
+    lookups = []
+    own = type(machine).entries
+
+    def counted(self, state, symbol, status):
+        lookups.append((state, symbol, status))
+        return own(self, state, symbol, status)
+
+    tape = tape_of("ccddee", machine.alphabet)
+    dist = initial_distribution(machine)
+    for symbol in tape[:4]:
+        dist = step(machine, dist, symbol)
+    monkeypatch.setattr(type(machine), "entries", counted)
+    after = step(machine, dist, tape[4])
+    assert len(lookups) == len(dist)
+    assert after == ref_distributions(machine, "ccddee")[4]
+
+
+# ---------------------------------------------------------------------------
+# Instance generators: identical lists, order and labels included.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_xoreq_generator_matches_reference(n):
+    assert generate("xor-eq", n) == ref_gen_xoreq(n)
+
+
+@pytest.mark.parametrize("t, n", [(1, n) for n in (0, 2, 5, 8, 12, 16, 20)]
+                         + [(2, n) for n in (0, 8, 12, 16, 17, 20)] + [(3, 12), (3, 24)])
+def test_onenone_generator_matches_reference(t, n):
+    assert generate(f"one-none-t{t}", n) == ref_gen_onenone(t, n)
