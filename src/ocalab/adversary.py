@@ -12,7 +12,7 @@ Three constructive attacks plus an empirical scanner:
   complement of (a^n b^n)*, either catches it accepting a member of
   (a^n b^n)* outright or pumps a rejecting path's first-block cycle into
   a rejected member of the complement.
-- ``brute_refute``: scans a problem's instances in generator order and
+- ``brute_refute``: streams a problem's instances in generator order and
   reports the first one where the machine's decision contradicts the
   label under a supplied (or class-default) decision rule.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import tee
 from typing import Callable, Optional
 
 from .classical import run
@@ -34,8 +35,8 @@ from .core import (
     status_of,
     tape_of,
 )
-from .kernel import run_word
-from .problems import NO, YES, classify_eqstar, classify_xoreq, generate, xoreq_word
+from .kernel import run_many
+from .problems import NO, YES, classify_eqstar, classify_xoreq, get_problem, xoreq_word
 from .zoo import ClaimedBounds
 
 Config = tuple[str, int]
@@ -663,11 +664,16 @@ def brute_refute(
     n: int,
     rule: Optional[Rule] = None,
 ) -> Optional[BruteResult]:
-    """Scan generate(problem, n) in order; first contradiction or None."""
+    """Scan the problem's instances up to ``n`` in generator order; the
+    first contradiction, or None.
+
+    The instances are streamed through ``run_many``, and nothing past the
+    first contradiction is generated or run.
+    """
     if rule is None:
         rule = default_rule(machine)
-    for word, label in generate(problem, n):
-        verdict = run_word(machine, word)
+    instances, words = tee(get_problem(problem).instances(n))
+    for (word, label), verdict in zip(instances, run_many(machine, (w for w, _ in words))):
         reason = rule(label, verdict)
         if reason is not None:
             return BruteResult(word=word, label=label, verdict=verdict, reason=reason)

@@ -8,14 +8,16 @@ Commands:
   exact verdict as lowest-terms rationals, or one sampled outcome.
 - ``batch <file.cma|--zoo <name>> --problem <p> --max-n <n> --out <json>``:
   per-instance verdicts plus exact summary aggregates; exit 0 iff the
-  machine's claimed bounds (when a zoo machine) hold over the batch.
+  machine's claimed bounds (when a zoo machine) hold over the batch, and
+  2 without a report when the bound admits no instance at all.
 - ``adversary <fool-xoreq|pump-u1bca|brute> <file.cma|zoo-name> ...``:
   constructive or empirical refutations as JSON.
 - ``zoo <list|emit <name> [--out <file>]>``: stable machine registry.
 
-Exit codes: 0 success, 1 I/O error, 2 validation/usage error, 3 search
-exhausted without a finding.  JSON output is deterministic (sorted keys)
-and all probabilities print as exact "p/q" strings.
+Exit codes: 0 success, 1 I/O error, 2 validation/usage error (a violated
+claim and a batch with no instances included), 3 search exhausted without
+a finding.  JSON output is deterministic (sorted keys) and all
+probabilities print as exact "p/q" strings.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from itertools import tee
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,7 +35,7 @@ from . import zoo as zoo_mod
 from .classical import sample_run
 from .core import CounterMachine, EngineError, Verdict
 from .dsl import ParseError, emit, parse_with_diagnostics
-from .kernel import run_word
+from .kernel import run_many, run_word
 from .problems import get_problem
 
 EXIT_OK = 0
@@ -150,7 +153,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise _CliError(f"unknown problem {problem_name!r}", EXIT_INVALID) from exc
 
     try:
-        instances = problem.generate(args.max_n)
+        instances, words = tee(problem.instances(args.max_n))
     except (ValueError, EngineError) as exc:
         raise _CliError(str(exc), EXIT_INVALID) from exc
 
@@ -159,20 +162,30 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     max_no: Optional[Fraction] = None
     max_dontknow = Fraction(0)
     worst: Optional[tuple[str, str]] = None
+    # run_many shares one Verdict among the words with the same outcome, so
+    # each distinct (verdict, label) is formatted and summarised once: a
+    # repeat cannot move the strict minimum or maximum.
+    seen: dict[tuple[int, str], tuple[Verdict, dict[str, str]]] = {}
     try:
-        for word, label in instances:
-            verdict = run_word(machine, word)
-            records.append({"input": word, "label": label, **_verdict_fields(verdict)})
-            max_dontknow = max(max_dontknow, verdict.neutral)
-            if label == "yes" and (min_yes is None or verdict.accept < min_yes):
-                min_yes = verdict.accept
-                worst = (word, label)
-            if label == "no" and (max_no is None or verdict.accept > max_no):
-                max_no = verdict.accept
-                if min_yes is None:
+        for (word, label), verdict in zip(instances, run_many(machine, (w for w, _ in words))):
+            hit = seen.get((id(verdict), label))
+            if hit is None:
+                hit = seen[(id(verdict), label)] = (verdict, _verdict_fields(verdict))
+                max_dontknow = max(max_dontknow, verdict.neutral)
+                if label == "yes" and (min_yes is None or verdict.accept < min_yes):
+                    min_yes = verdict.accept
                     worst = (word, label)
+                if label == "no" and (max_no is None or verdict.accept > max_no):
+                    max_no = verdict.accept
+                    if min_yes is None:
+                        worst = (word, label)
+            records.append({"input": word, "label": label, **hit[1]})
     except EngineError as exc:
         raise _CliError(str(exc), EXIT_INVALID) from exc
+    if not records:
+        raise _CliError(
+            f"no instances of {problem_name} up to --max-n {args.max_n}", EXIT_INVALID
+        )
 
     summary: dict[str, object] = {
         "min_accept_on_yes": None if min_yes is None else _fmt(min_yes),

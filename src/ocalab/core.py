@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .amplitudes import AMP_ONE, Amplitude
@@ -40,6 +39,22 @@ Weight = Union[Fraction, Amplitude]
 TransKey = tuple[State, Symbol, Status]
 TransEntry = tuple[State, int, Weight]
 TransTable = dict[TransKey, tuple[TransEntry, ...]]
+
+
+class FrozenTable(dict):
+    """A read-only ``dict``: every mutator raises ``TypeError``.
+
+    Being a real ``dict``, it copies at ``dict`` speed: ``dict(table)`` and
+    ``table.copy()`` return a plain, writable ``dict``.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args: object, **kwargs: object) -> None:
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only  # type: ignore[assignment]
+    clear = pop = popitem = setdefault = update = _read_only  # type: ignore[assignment]
 
 
 def status_of(counter: int) -> Status:
@@ -173,10 +188,8 @@ class CounterMachine:
     max_step: int = 1
 
     def __post_init__(self) -> None:
-        table = self.transitions
-        if isinstance(table, MappingProxyType):
-            table = table.copy()  # the fast copy of the mapping underneath
-        object.__setattr__(self, "transitions", MappingProxyType(dict(table)))
+        if not isinstance(self.transitions, FrozenTable):  # a frozen one is shared
+            object.__setattr__(self, "transitions", FrozenTable(self.transitions))
 
     def entries(self, state: State, symbol: Symbol, status: Status) -> tuple[TransEntry, ...]:
         """Total transition lookup; unlisted triples drop into the sink."""

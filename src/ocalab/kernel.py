@@ -25,11 +25,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .amplitudes import Amplitude
 from .core import (
+    ENDMARKERS,
+    LEFT_END,
     NZ,
+    RIGHT_END,
     SINK,
     Z,
     CounterMachine,
@@ -409,34 +412,48 @@ def _branch(out: IntDist, pending: list, den: int, table: SymbolTable, quantum: 
 # ---------------------------------------------------------------------------
 
 
-def tally(parts: Iterable[tuple[int, int]], den: int) -> Verdict:
-    """Classical verdict from (outcome kind, mass) pairs over ``den``."""
+def outcome_sums(kernel: Kernel, items: Iterable[tuple[int, object]]) -> tuple[int, ...]:
+    """The integer sums a verdict is read from, over final (config, value) pairs.
+
+    Classical: the (reject, accept, neutral) masses.  Quantum: the rational
+    and sqrt2 parts of the total norm, then of the accepting norm.
+    """
+    size, kinds, blind = kernel.size, kernel.kinds, kernel.blind
+    if kernel.quantum:
+        total_rat = total_s2 = accept_rat = accept_s2 = 0
+        for config, (a, b, c, d) in items:
+            rat = a * a + 2 * b * b + c * c + 2 * d * d
+            s2 = 2 * (a * b + c * d)
+            total_rat += rat
+            total_s2 += s2
+            if kinds[config % size] == ACCEPT:
+                accept_rat += rat
+                accept_s2 += s2
+        return total_rat, total_s2, accept_rat, accept_s2
     sums = [0, 0, 0]
-    for kind, mass in parts:
-        sums[kind] += mass
-    total = sums[REJECT] + sums[ACCEPT] + sums[NEUTRAL]
+    for config, mass in items:
+        state = config % size
+        sums[REJECT if blind and config != state else kinds[state]] += mass
+    return tuple(sums)
+
+
+def tally(sums: tuple[int, ...], den: int) -> Verdict:
+    """Classical verdict from the (reject, accept, neutral) masses over ``den``."""
+    reject, accept, neutral = sums
     return Verdict(
-        accept=Fraction(sums[ACCEPT], den),
-        reject=Fraction(total - sums[ACCEPT] - sums[NEUTRAL], den),
-        neutral=Fraction(sums[NEUTRAL], den),
+        accept=Fraction(accept, den),
+        reject=Fraction(reject, den),
+        neutral=Fraction(neutral, den),
     )
 
 
-def born(parts: Iterable[tuple[bool, Quad]], den: int) -> Verdict:
-    """Quantum verdict from (accepting, amplitude) pairs over ``den``.
+def born(sums: tuple[int, ...], den: int) -> Verdict:
+    """Quantum verdict from the norm sums of amplitudes over ``den``.
 
     The total norm must be exactly ``den**2`` and the accepting mass free
     of any sqrt2 component; either failure raises, never rounds.
     """
-    total_rat = total_s2 = accept_rat = accept_s2 = 0
-    for accepting, (a, b, c, d) in parts:
-        rat = a * a + 2 * b * b + c * c + 2 * d * d
-        s2 = 2 * (a * b + c * d)
-        total_rat += rat
-        total_s2 += s2
-        if accepting:
-            accept_rat += rat
-            accept_s2 += s2
+    total_rat, total_s2, accept_rat, accept_s2 = sums
     den2 = den * den
     if total_s2 != 0 or total_rat != den2:
         raise MeasurementError(
@@ -454,10 +471,7 @@ def born(parts: Iterable[tuple[bool, Quad]], den: int) -> Verdict:
 
 def read(kernel: Kernel, items: Iterable[tuple[int, object]], den: int) -> Verdict:
     """The verdict of final (config, value) pairs over ``den``."""
-    kind = kernel.kind
-    if kernel.quantum:
-        return born(((kind(config) == ACCEPT, amp) for config, amp in items), den)
-    return tally(((kind(config), mass) for config, mass in items), den)
+    return (born if kernel.quantum else tally)(outcome_sums(kernel, items), den)
 
 
 def run_word(machine: CounterMachine, word: str) -> Verdict:
@@ -469,6 +483,44 @@ def run_word(machine: CounterMachine, word: str) -> Verdict:
     kernel = compiled(machine)
     dist, den = propagate(kernel, tape_of(word, machine.alphabet))
     return read(kernel, dist.items(), den)
+
+
+def run_many(machine: CounterMachine, words: Iterable[str]) -> Iterator[Verdict]:
+    """``run_word`` of every word, yielded lazily and in order.
+
+    ``stack[i]`` holds the (distribution, D) after ``¢ + word[:i]``.  Each
+    word is cut back to where it leaves the previous word and stepped from
+    there, so words in generator order share most of their steps; memory
+    stays O(word length).  Only the symbols past the shared prefix are
+    checked, with ``tape_of``'s error for the first bad one.  One
+    ``Verdict`` is built per distinct outcome, and shared by every word
+    with that outcome within this call.
+    """
+    kernel = compiled(machine)
+    verdict_of = born if kernel.quantum else tally
+    allowed = set(machine.alphabet).difference(ENDMARKERS)
+    stack: list[tuple[IntDist, int]] = []
+    propagate(kernel, (LEFT_END,), keep=stack)
+    verdicts: dict[tuple, Verdict] = {}
+    prev: Sequence[str] = ""
+    for word in words:
+        common = 0
+        for mine, theirs in zip(word, prev):
+            if mine != theirs:
+                break
+            common += 1
+        new = word[common:]
+        if not allowed.issuperset(new):
+            tape_of(new, machine.alphabet)  # raises for the first bad symbol
+        del stack[common + 1 :]
+        propagate(kernel, (*new, RIGHT_END), *stack[common], keep=stack)
+        dist, den = stack.pop()  # the step past the word's end
+        key = (outcome_sums(kernel, dist.items()), den)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = verdict_of(*key)
+        prev = word
+        yield verdict
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ problems label every string yes/no; promise problems additionally return
 
 Generators enumerate bounded instance sets deterministically (and
 duplicate-free), so batch reports and refutation scans are reproducible.
+``PromiseProblem.instances`` streams them lazily; ``generate`` lists them.
 Each generator documents its enumeration domain; they are exhaustive over
 that domain, which for the structured problems is a tuple/block space
 rather than the set of all strings.
@@ -26,25 +27,36 @@ NO = "no"
 OUTSIDE = "outside_promise"
 
 DEFAULT_CEILING = 24
+WORD_CEILING = 16  # problems that list every string up to the bound
+ONENONE_CEILING = 200
 
 Instance = tuple[str, str]
 
 
 @dataclass(frozen=True)
 class PromiseProblem:
-    """A named problem: oracle plus bounded deterministic generator."""
+    """A named problem: oracle plus bounded deterministic generator.
+
+    ``stream(n)`` yields the instances of size bound ``n``, which must lie
+    in ``0..ceiling``.
+    """
 
     name: str
     alphabet: tuple[str, ...]
     classify: Callable[[str], str]
-    generate: Callable[[int], list[Instance]]
+    stream: Callable[[int], Iterator[Instance]]
+    ceiling: int = DEFAULT_CEILING
 
+    def instances(self, n: int) -> Iterator[Instance]:
+        """The instances up to ``n``, lazily; a bad ``n`` raises right away."""
+        if n < 0:
+            raise EngineError(f"size bound must be nonnegative, got {n}")
+        if n > self.ceiling:
+            raise EngineError(f"size bound {n} exceeds the configured ceiling {self.ceiling}")
+        return self.stream(n)
 
-def _check_ceiling(n: int, ceiling: int = DEFAULT_CEILING) -> None:
-    if n < 0:
-        raise EngineError(f"size bound must be nonnegative, got {n}")
-    if n > ceiling:
-        raise EngineError(f"size bound {n} exceeds the configured ceiling {ceiling}")
+    def generate(self, n: int) -> list[Instance]:
+        return list(self.instances(n))
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +103,14 @@ def classify_xoreq(word: str) -> str:
     return YES if (a == c) != (b == d) else NO
 
 
-def _gen_xoreq(n: int) -> list[Instance]:
+def _gen_xoreq(n: int) -> Iterator[Instance]:
     """All promised tuples with a,b,c,d even in [2, n] and offsets in [0, 4].
 
     The tuples come in lexicographic order.  The promise fixes l1 - l2 once
     a, b, c, d, k1, k2 are chosen, so only promised words are ever built.
     """
-    _check_ceiling(n)
     sizes = range(2, n + 1, 2)
     offsets = range(0, 5)
-    out: list[Instance] = []
     for a, b, c, d in product(sizes, repeat=4):
         label = YES if (a == c) != (b == d) else NO
         sign_k = -1 if a == c else 1
@@ -111,8 +121,7 @@ def _gen_xoreq(n: int) -> list[Instance]:
             for l1 in offsets:
                 l2 = l1 - gap
                 if 0 <= l2 <= 4:
-                    out.append((xoreq_word(a, b, c, d, k1, k2, l1, l2), label))
-    return out
+                    yield xoreq_word(a, b, c, d, k1, k2, l1, l2), label
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +241,17 @@ def _blocks_within(vocabs: list[list[str]], budget: int) -> Iterator[tuple[str, 
                 yield (u, *tail)
 
 
-def _gen_onenone(t: int, n: int) -> list[Instance]:
+def _gen_onenone(t: int, n: int) -> Iterator[Instance]:
     """Alternating-block instances with minimal d-runs (|y| = |u|).
 
     Enumerates every block tuple over the per-t vocabulary whose total
     length fits within n, yes and no shapes both.  A block u costs 2|u|
     letters, so tuples are pruned on their u-length before any joining.
     """
-    _check_ceiling(n, ceiling=200)
     ones, nones = _onenone_vocab(t)
-    out: list[Instance] = []
     for label, first, second in ((YES, ones, nones), (NO, nones, ones)):
         for blocks in _blocks_within([first, second] * t, n // 2):
-            out.append(("".join(u + "d" * len(u) for u in blocks), label))
-    return out
+            yield "".join(u + "d" * len(u) for u in blocks), label
 
 
 # ---------------------------------------------------------------------------
@@ -310,23 +316,21 @@ def _bool_problem(classify: Callable[[str], bool]) -> Callable[[str], str]:
     return wrapped
 
 
-def _gen_over(symbols: str, classify: Callable[[str], bool]) -> Callable[[int], list[Instance]]:
-    def gen(n: int) -> list[Instance]:
-        _check_ceiling(n, ceiling=16)
-        return [(w, YES if classify(w) else NO) for w in _strings_over(symbols, n)]
+def _gen_over(symbols: str, classify: Callable[[str], bool]) -> Callable[[int], Iterator[Instance]]:
+    def gen(n: int) -> Iterator[Instance]:
+        for w in _strings_over(symbols, n):
+            yield w, YES if classify(w) else NO
 
     return gen
 
 
-def _gen_L(n: int) -> list[Instance]:
+def _gen_L(n: int) -> Iterator[Instance]:
     """Empty string plus both pure-alphabet fragments up to length n."""
-    _check_ceiling(n, ceiling=16)
-    out: list[Instance] = [("", YES)]
+    yield "", YES
     for symbols in ("ab", "cde"):
         for w in _strings_over(symbols, n):
             if w:
-                out.append((w, YES if classify_L(w) else NO))
-    return out
+                yield w, YES if classify_L(w) else NO
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +344,28 @@ def _problems() -> dict[str, PromiseProblem]:
     out = {
         "xor-eq": PromiseProblem("xor-eq", XOREQ_ALPHABET, classify_xoreq, _gen_xoreq),
         "eq-star": PromiseProblem(
-            "eq-star", ("a", "b"), _bool_problem(classify_eqstar), _gen_over("ab", classify_eqstar)
+            "eq-star",
+            ("a", "b"),
+            _bool_problem(classify_eqstar),
+            _gen_over("ab", classify_eqstar),
+            WORD_CEILING,
         ),
         "eq-star-complement": PromiseProblem(
             "eq-star-complement",
             ("a", "b"),
             _bool_problem(classify_eqstar_complement),
             _gen_over("ab", classify_eqstar_complement),
+            WORD_CEILING,
         ),
         "eq3": PromiseProblem(
-            "eq3", ("c", "d", "e"), _bool_problem(classify_eq3), _gen_over("cde", classify_eq3)
+            "eq3",
+            ("c", "d", "e"),
+            _bool_problem(classify_eq3),
+            _gen_over("cde", classify_eq3),
+            WORD_CEILING,
         ),
         "lang-L": PromiseProblem(
-            "lang-L", ("a", "b", "c", "d", "e"), _bool_problem(classify_L), _gen_L
+            "lang-L", ("a", "b", "c", "d", "e"), _bool_problem(classify_L), _gen_L, WORD_CEILING
         ),
     }
     return out
@@ -370,6 +383,7 @@ def get_problem(name: str) -> PromiseProblem:
             ("a", "b", "c", "d"),
             lambda w, _t=t: classify_onenone_t(w, _t),
             lambda n, _t=t: _gen_onenone(_t, n),
+            ONENONE_CEILING,
         )
     table = _problems()
     if name not in table:

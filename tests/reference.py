@@ -25,7 +25,7 @@ from ocalab import (
     status_of,
     tape_of,
 )
-from ocalab.problems import OUTSIDE, _onenone_vocab, classify_xoreq, xoreq_word
+from ocalab.problems import NO, OUTSIDE, YES, _onenone_vocab, classify_L, classify_xoreq, xoreq_word
 
 
 # ---------------------------------------------------------------------------
@@ -243,4 +243,18 @@ def ref_gen_onenone(t, n):
             word = "".join(u + "d" * len(u) for u in blocks)
             if len(word) <= n:
                 out.append((word, label))
+    return out
+
+
+def ref_gen_over(symbols, classify, n):
+    words = ("".join(tup) for length in range(n + 1) for tup in product(symbols, repeat=length))
+    return [(w, YES if classify(w) else NO) for w in words]
+
+
+def ref_gen_L(n):
+    out = [("", YES)]
+    for symbols in ("ab", "cde"):
+        for w, _ in ref_gen_over(symbols, classify_L, n):
+            if w:
+                out.append((w, YES if classify_L(w) else NO))
     return out

@@ -1,4 +1,5 @@
 """Adversary procedures: cycle analysis, fooling pairs, pumping, brute search."""
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,10 @@ from ocalab import (
     Verdict,
     classify_eqstar,
     classify_xoreq,
+    get_problem,
     run,
 )
+from ocalab import adversary
 from ocalab.adversary import (
     BruteResult,
     CycleProfile,
@@ -330,3 +333,28 @@ def test_brute_finds_nothing_against_sound_machines(complement, xoreq):
 def test_brute_unknown_problem(m1):
     with pytest.raises(EngineError, match="unknown problem"):
         brute_refute(m1, "nope", 3)
+
+
+def test_brute_reads_nothing_past_the_first_violation(m1, monkeypatch):
+    xoreq = get_problem("xor-eq")
+    listed = xoreq.generate(4)
+    last = [word for word, _ in listed].index("00#00#00#00####")
+
+    def stream(n):
+        yield from listed[: last + 1]
+        raise AssertionError("the instance stream was read past the first violation")
+
+    monkeypatch.setattr(
+        adversary, "get_problem", lambda name: dataclasses.replace(xoreq, stream=stream)
+    )
+    judged = []
+    exact = exact_rule()
+
+    def rule(label, verdict):
+        judged.append(label)
+        return exact(label, verdict)
+
+    result = brute_refute(m1, "xor-eq", 4, rule)
+    assert result == brute_refute(m1, "xor-eq", 4)
+    assert result.word == "00#00#00#00####"
+    assert len(judged) == last + 1

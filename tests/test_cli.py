@@ -207,6 +207,17 @@ def test_batch_over_ceiling(tmp_path, capsys):
     assert "ceiling" in captured.err
 
 
+def test_batch_without_instances_is_a_usage_error(tmp_path, capsys):
+    # The shortest one-none-t2 instance has 16 letters.
+    code, report, captured = run_batch(
+        tmp_path, capsys, "--zoo", "onenone-lv-t2", "--max-n", "4"
+    )
+    assert code == EXIT_INVALID
+    assert report is None
+    assert captured.err == "no instances of one-none-t2 up to --max-n 4\n"
+    assert captured.out == ""
+
+
 def test_batch_flags_violated_bounds(tmp_path, capsys):
     # deliberately run the equality acceptor against the complement problem
     code, report, captured = run_batch(

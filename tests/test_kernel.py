@@ -18,6 +18,7 @@ from ocalab import (
     Amplitude,
     MachineClass,
     MeasurementError,
+    SimulationError,
     build_m1,
     build_xoreq_q1ca,
     check_unitarity,
@@ -38,7 +39,7 @@ from ocalab import (
     xoreq_word,
     zoo_names,
 )
-from ocalab.kernel import compiled, propagate, run_word
+from ocalab.kernel import compiled, propagate, run_many, run_word
 from reference import (
     ref_check_unitarity,
     ref_distributions,
@@ -260,6 +261,28 @@ def test_machine_tables_are_frozen():
     assert dict(machine.transitions) == machine.transitions
 
 
+def test_frozen_tables_copy_to_plain_dicts():
+    machine = get_entry("xoreq-q1ca").machine
+    table = machine.transitions
+    key = next(iter(table))
+    for mutate in (
+        table.clear,
+        table.popitem,
+        lambda: table.pop(key),
+        lambda: table.setdefault(key, ()),
+        lambda: table.update({key: ()}),
+        lambda: table.__ior__({key: ()}),
+    ):
+        with pytest.raises(TypeError):
+            mutate()
+    for copy in (dict(table), table.copy()):
+        assert type(copy) is dict and copy == table
+        copy[key] = ()  # a copy is an ordinary, writable dict
+    assert table[key] != ()
+    # A machine built from a frozen table shares it instead of copying it.
+    assert dataclasses.replace(machine, name="renamed").transitions is table
+
+
 def test_builder_tables_are_copied_not_shared():
     machine = mk("copy", "d1ca", "a", ("s",), "s", ("s",), [("s", L, "*", [("s", 0, F(1))])])
     source = dict(machine.transitions)
@@ -310,6 +333,75 @@ def test_one_engine_dispatch():
     assert run_word(classical, "adaabddd") == run(classical, "adaabddd")
     word = generate("xor-eq", 2)[0][0]
     assert run_word(quantum, word) == run_quantum(quantum, word)
+
+
+# ---------------------------------------------------------------------------
+# Batches: run_many against run_word and the reference.
+# ---------------------------------------------------------------------------
+
+
+def _many_outcomes(machine, words):
+    """run_many's verdicts, ending with the MeasurementError that stops it."""
+    out = []
+    try:
+        for verdict in run_many(machine, words):
+            out.append(verdict)
+    except MeasurementError as exc:
+        out.append(("MeasurementError", str(exc)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_machines(), st.data())
+def test_run_many_matches_run_word_and_reference(machine, data):
+    stems = data.draw(st.lists(st.text(alphabet=machine.alphabet, max_size=6), max_size=4))
+    prefixes = [stem[:cut] for stem in stems for cut in range(len(stem))]
+    # The empty word, mutual prefixes and repeats, in any order.
+    words = data.draw(st.permutations(["", *stems, *stems, *prefixes]))
+    reference = ref_run_quantum if machine.mclass.quantum else ref_run
+    expected = []
+    for word in words:
+        expected.append(_outcome(run_word, machine, word))
+        assert expected[-1] == _outcome(reference, machine, word)
+        if isinstance(expected[-1], tuple):  # the error ends the batch
+            break
+    assert _many_outcomes(machine, words) == expected
+
+
+@pytest.mark.parametrize("bad", ["0x", "00#¢", "$", "00#00x"])
+@pytest.mark.parametrize("position", [0, 2])
+def test_run_many_raises_at_the_bad_word(bad, position):
+    machine = build_m1()
+    words = ["00#00", "00#0", "0"][:position] + [bad, "00"]
+    verdicts = run_many(machine, words)
+    for word in words[:position]:
+        assert next(verdicts) == run_word(machine, word)
+    with pytest.raises(SimulationError) as got:
+        next(verdicts)
+    with pytest.raises(SimulationError) as want:
+        tape_of(bad, machine.alphabet)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(StopIteration):
+        next(verdicts)
+
+
+def test_run_many_raises_measurement_errors():
+    broken = hadamard2_broken()
+    outcomes = _many_outcomes(broken, ["", "a", "aa"])
+    assert outcomes == [run_word(broken, ""), _outcome(run_word, broken, "a")]
+    assert outcomes[1][0] == "MeasurementError"
+
+
+def test_run_many_shares_one_verdict_per_outcome():
+    machine = get_entry("eq3-p1bca-k4").machine
+    words = [word for word, _ in generate("eq3", 6)]
+    verdicts = list(run_many(machine, words))
+    assert verdicts == [run_word(machine, word) for word in words]
+    assert len({id(verdict) for verdict in verdicts}) == len(set(verdicts)) < 10
+    # The reuse is per call: nothing is kept on the cached machine.
+    again = list(run_many(machine, words[:3]))
+    assert again == verdicts[:3]
+    assert all(mine is not theirs for mine, theirs in zip(again, verdicts))
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from ocalab import (
     xoreq_blocks,
     xoreq_word,
 )
+from reference import ref_gen_L, ref_gen_onenone, ref_gen_over, ref_gen_xoreq
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +265,38 @@ def test_generator_labels_agree_with_classifier(name):
 def test_generator_ceilings(name, bad_n):
     with pytest.raises(EngineError):
         list(get_problem(name).generate(bad_n))
+
+
+REFERENCE_LISTS = {
+    "xor-eq": ref_gen_xoreq,
+    "one-none-t1": lambda n: ref_gen_onenone(1, n),
+    "one-none-t2": lambda n: ref_gen_onenone(2, n),
+    "one-none-t3": lambda n: ref_gen_onenone(3, n),
+    "eq-star": lambda n: ref_gen_over("ab", classify_eqstar, n),
+    "eq-star-complement": lambda n: ref_gen_over("ab", classify_eqstar_complement, n),
+    "eq3": lambda n: ref_gen_over("cde", classify_eq3, n),
+    "lang-L": ref_gen_L,
+}
+
+
+@pytest.mark.parametrize("name", list_problems())
+def test_instances_stream_the_reference_lists(name):
+    problem = get_problem(name)
+    top = SMALL_N[name]
+    for n in sorted({0, 1, top // 2, top}):
+        stream = problem.instances(n)
+        assert iter(stream) is stream  # a lazy iterator, not a list
+        listed = list(stream)
+        assert listed == REFERENCE_LISTS[name](n), n
+        assert problem.generate(n) == listed
+
+
+@pytest.mark.parametrize("name", list_problems())
+def test_instances_check_the_bound_when_called(name):
+    problem = get_problem(name)
+    for bad_n in (-1, problem.ceiling + 1):
+        with pytest.raises(EngineError):
+            problem.instances(bad_n)  # raises before anything is read
 
 
 def test_problem_registry():
