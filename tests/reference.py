@@ -25,7 +25,15 @@ from ocalab import (
     status_of,
     tape_of,
 )
-from ocalab.problems import NO, OUTSIDE, YES, _onenone_vocab, classify_L, classify_xoreq, xoreq_word
+from ocalab.problems import (
+    NO,
+    OUTSIDE,
+    YES,
+    _onenone_vocab,
+    classify_L,
+    classify_xoreq,
+    xoreq_word,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +262,5 @@ def ref_gen_over(symbols, classify, n):
 def ref_gen_L(n):
     out = [("", YES)]
     for symbols in ("ab", "cde"):
-        for w, _ in ref_gen_over(symbols, classify_L, n):
-            if w:
-                out.append((w, YES if classify_L(w) else NO))
+        out += [(w, label) for w, label in ref_gen_over(symbols, classify_L, n) if w]
     return out

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, output formats, report files."""
 import json
+from fractions import Fraction
 
 import pytest
 
-from helpers import u_branchy
-from ocalab import emit, get_entry, parse_file, sample_run, zoo_names
+from helpers import u_accept_all, u_branchy
+from ocalab import emit, generate, get_entry, parse_file, sample_run, zoo_names
 from ocalab.cli import EXIT_EXHAUSTED, EXIT_INVALID, EXIT_IO, EXIT_OK, main
+from ocalab.kernel import run_word
 
 
 def test_no_arguments_is_a_usage_error(capsys):
@@ -205,6 +207,60 @@ def test_batch_over_ceiling(tmp_path, capsys):
     )
     assert code == EXIT_INVALID
     assert "ceiling" in captured.err
+
+
+def _fmt(value):
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _word_by_word_report(machine, problem, max_n):
+    """The records and summary of a batch, one run_word per instance."""
+    records = []
+    min_yes = max_no = worst = None
+    max_dontknow = Fraction(0)
+    for word, label in generate(problem, max_n):
+        verdict = run_word(machine, word)
+        records.append({"input": word, "label": label, "accept": _fmt(verdict.accept),
+                        "reject": _fmt(verdict.reject), "dontknow": _fmt(verdict.neutral)})
+        max_dontknow = max(max_dontknow, verdict.neutral)
+        if label == "yes" and (min_yes is None or verdict.accept < min_yes):
+            min_yes, worst = verdict.accept, {"input": word, "label": label}
+        if label == "no" and (max_no is None or verdict.accept > max_no):
+            max_no = verdict.accept
+            if min_yes is None:
+                worst = {"input": word, "label": label}
+    return records, {
+        "min_accept_on_yes": None if min_yes is None else _fmt(min_yes),
+        "max_accept_on_no": None if max_no is None else _fmt(max_no),
+        "max_dontknow": _fmt(max_dontknow),
+        "worst_case_instance": worst,
+    }
+
+
+@pytest.mark.parametrize(
+    "machine, argv",
+    [
+        ("m1", ("--max-n", "4")),
+        ("eq-star-p1bca-k3", ("--problem", "eq-star-complement", "--max-n", "6")),
+        ("onenone-lv", ("--max-n", "10")),
+        ("xoreq-q1ca", ("--max-n", "4")),
+        # Every word gets one verdict, on yes- and no-instances alike.
+        (u_accept_all, ("--problem", "eq-star", "--max-n", "4")),
+    ],
+)
+def test_batch_report_matches_word_by_word_runs(tmp_path, capsys, machine, argv):
+    if isinstance(machine, str):
+        machine = get_entry(machine).machine
+        source = ("--zoo", machine.name)
+    else:
+        machine = machine()
+        path = tmp_path / "machine.cma"
+        path.write_text(emit(machine), encoding="utf-8")
+        source = (str(path),)
+    _, report, _ = run_batch(tmp_path, capsys, *source, *argv)
+    records, summary = _word_by_word_report(machine, report["problem"], report["max_n"])
+    assert report["instances"] == records
+    assert report["summary"] == summary
 
 
 def test_batch_without_instances_is_a_usage_error(tmp_path, capsys):
