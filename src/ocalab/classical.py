@@ -64,8 +64,7 @@ def verdict_of(machine: CounterMachine, dist: ConfigDistribution) -> Verdict:
     additionally require counter zero (for both the accepting and the
     neutral outcome), with everything else rejecting.
     """
-    kernel = _kernel.compiled(machine)
-    return _kernel.read(kernel, *_kernel.exact_items(kernel, dist))
+    return _kernel.read_exact(machine, dist)
 
 
 @dataclass(frozen=True)
@@ -86,14 +85,14 @@ def run_trace(
     kernel = _kernel.compiled(machine)
     tape = tape_of(word, machine.alphabet)
     kept: list | None = [] if keep_distributions else None
-    dist, den = _kernel.propagate(kernel, tape, keep=kept)
+    dist, den = _kernel.advance(kernel, tape, keep=kept)
     return RunTrace(
         verdict=_kernel.read(kernel, dist.items(), den),
         steps=len(tape),
-        final=_kernel.to_exact(kernel, dist, den),
+        final=_kernel.to_exact(kernel, _kernel.flat(kernel, dist), den),
         distributions=None
         if kept is None
-        else tuple(_kernel.to_exact(kernel, d, n) for d, n in kept),
+        else tuple(_kernel.to_exact(kernel, _kernel.flat(kernel, d), n) for d, n in kept),
     )
 
 

@@ -11,12 +11,13 @@ Commands:
   machine's claimed bounds (when a zoo machine) hold over the batch, and
   2 without a report when the bound admits no instance at all.
 - ``adversary <fool-xoreq|pump-u1bca|brute> <file.cma|zoo-name> ...``:
-  constructive or empirical refutations as JSON.
+  constructive or empirical refutations as JSON; ``brute`` exits 2, as
+  ``batch`` does, when the bound admits no instance.
 - ``zoo <list|emit <name> [--out <file>]>``: stable machine registry.
 
 Exit codes: 0 success, 1 I/O error, 2 validation/usage error (a violated
-claim and a batch with no instances included), 3 search exhausted without
-a finding.  JSON output is deterministic (sorted keys) and all
+claim, and a batch or brute search with no instances, included), 3 search
+exhausted without a finding.  JSON output is deterministic (sorted keys) and all
 probabilities print as exact "p/q" strings.
 """
 from __future__ import annotations
@@ -183,9 +184,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except EngineError as exc:
         raise _CliError(str(exc), EXIT_INVALID) from exc
     if not records:
-        raise _CliError(
-            f"no instances of {problem_name} up to --max-n {args.max_n}", EXIT_INVALID
-        )
+        raise _no_instances(problem_name, args.max_n)
 
     summary: dict[str, object] = {
         "min_accept_on_yes": None if min_yes is None else _fmt(min_yes),
@@ -230,6 +229,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _no_instances(problem_name: str, max_n: int) -> _CliError:
+    """A sweep whose bound admits no instance checks nothing: a usage error."""
+    return _CliError(f"no instances of {problem_name} up to --max-n {max_n}", EXIT_INVALID)
+
+
 def _cmd_adversary(args: argparse.Namespace) -> int:
     machine, entry = _load_machine(args.file)
     try:
@@ -253,6 +257,8 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
             raise _CliError("brute needs --problem (or a zoo machine)", EXIT_INVALID)
         if args.max_n is None:
             raise _CliError("brute needs --max-n", EXIT_INVALID)
+        if next(get_problem(problem_name).instances(args.max_n), None) is None:
+            raise _no_instances(problem_name, args.max_n)
         rule = None
         if entry is not None:
             rule = adversary_mod.bounds_rule(

@@ -19,6 +19,14 @@ everything by the gcd, so ``D`` only grows by what the weights really
 need.  Exact ``Fraction``/``Amplitude`` values appear only at the edges:
 reading a verdict, reporting unitarity violations, and the public
 ``step``/``evolve`` wrappers.
+
+A blind machine whose rows never read the counter is stepped by
+:func:`advance` in per-state groups instead, ``{state: (shift,
+{counter - shift: mass})}`` over the same ``D`` with the same rescale: a
+move re-labels a whole state in O(1), and the sources of a branching row
+are gathered once.  Machines that read the counter hold a few
+configurations per state, where the flat ``{config: value}`` form of
+:func:`propagate` is cheaper.
 """
 from __future__ import annotations
 
@@ -42,6 +50,7 @@ from .core import (
 )
 
 IntDist = dict  # config -> int mass or Quad amplitude
+Groups = dict  # state id -> (shift, {counter - shift: int mass})
 Branches = tuple  # ((offset, int or Quad weight), ...)
 
 # Outcome kinds of a final configuration.
@@ -155,10 +164,14 @@ class Kernel:
     """A machine compiled for :func:`propagate`; see the module docstring.
 
     ``kinds[s]`` is the outcome of state ``s``, and ``unit`` is the value 1
-    (int 1, or ``Quad(1)`` for quantum machines).
+    (int 1, or ``Quad(1)`` for quantum machines).  ``rows`` holds the rows
+    of :func:`advance`'s grouped loop per symbol, or None when the machine
+    runs flat.
     """
 
-    __slots__ = ("names", "ids", "size", "initial", "quantum", "blind", "kinds", "tables", "unit")
+    __slots__ = (
+        "names", "ids", "size", "initial", "quantum", "blind", "kinds", "tables", "unit", "rows"
+    )
 
     def __init__(
         self,
@@ -179,6 +192,9 @@ class Kernel:
         self.kinds = kinds
         self.tables = tables
         self.unit = Quad(1) if quantum else 1
+        self.rows = None
+        if blind and all(t.moves_z == t.moves_nz and t.branch_z == t.branch_nz for t in tables.values()):
+            self.rows = {symbol: _grouped_rows(table, self.size) for symbol, table in tables.items()}
 
     def kind(self, config: int) -> int:
         """REJECT, ACCEPT or NEUTRAL for a final configuration."""
@@ -193,6 +209,29 @@ class Kernel:
     def config_id(self, state: str, counter: int) -> int:
         """Unknown state names behave like the sink, as in the total table."""
         return counter * self.size + self.ids.get(state, self.size - 1)
+
+
+class Split(tuple):
+    """A branching row of the grouped loop: (target id, delta, weight) triples."""
+
+    __slots__ = ()
+
+
+def _grouped_rows(table: SymbolTable, size: int) -> list:
+    """Per state, a move as (target id, delta) or a branching row as a
+    :class:`Split`; equal branching rows are one object."""
+    rows: list = []
+    splits: dict[Split, Split] = {}
+    for state, off in enumerate(table.moves_z):
+        if off is None:
+            row = Split(
+                ((state + off) % size, (state + off) // size, weight)
+                for off, weight in table.branch_z[state]
+            )
+            rows.append(splits.setdefault(row, row))
+        else:
+            rows.append(((state + off) % size, (state + off) // size))
+    return rows
 
 
 def _weight_parts(machine: CounterMachine, weight: object) -> tuple[Fraction, ...]:
@@ -341,8 +380,8 @@ def propagate(
     initial point mass); ``keep`` collects every step's (distribution, D).
     ``tables`` replaces the kernel's own compiled rows.
 
-    This is the only propagation loop: every engine step of every class
-    runs through it.
+    The flat loop, for any machine and any ``tables``; :func:`advance`
+    steps a kernel with grouped rows through its grouped loop instead.
     """
     if dist is None:
         dist = {kernel.initial: kernel.unit}
@@ -407,18 +446,136 @@ def _branch(out: IntDist, pending: list, den: int, table: SymbolTable, quantum: 
     return den
 
 
+def advance(
+    kernel: Kernel,
+    tape: Iterable[str],
+    dist: Groups | IntDist | None = None,
+    den: int = 1,
+    keep: list | None = None,
+) -> tuple[Groups | IntDist, int]:
+    """:func:`propagate` in the kernel's own form: flat, or per-state groups
+    ``{state: (shift, {counter - shift: mass})}`` when it has grouped rows.
+
+    A move re-labels a whole group in O(1): the dict is shared and only
+    the shift changes.  A step that takes a branching row scales every
+    group to the symbol's denominator, gathers the sources of each row into
+    one dict (shared by every target of weight 1) and divides the gcd of
+    everything out.  No dict is written after the step that made it, so
+    every (groups, D) returned or kept stays valid.
+    """
+    if kernel.rows is None:
+        return propagate(kernel, tape, dist, den, keep)
+    if dist is None:
+        dist = {kernel.initial: (0, {0: 1})}
+        den = 1
+    grouped_rows = kernel.rows
+    for symbol in tape:
+        rows = grouped_rows[symbol]
+        out: Groups = {}
+        owned: set = set()  # groups whose dict this step made
+        pending = None
+        for state, (shift, counts) in dist.items():
+            row = rows[state]
+            if row.__class__ is Split:
+                if pending is None:
+                    pending = []
+                pending.append((row, shift, counts))
+                continue
+            target, delta = row
+            if target in out:
+                _add(out, owned, target, shift + delta, counts, 1)
+            else:
+                out[target] = (shift + delta, counts)
+        if pending is not None:
+            scale = kernel.tables[symbol].den
+            if scale != 1:
+                den *= scale
+                for state, (shift, counts) in out.items():
+                    out[state] = (shift, {key: mass * scale for key, mass in counts.items()})
+                owned = set(out)
+            gathered: dict[Split, tuple[int, dict]] = {}
+            mine: set = set()
+            for row, shift, counts in pending:
+                _add(gathered, mine, row, shift, counts, 1)
+            for row, (shift, counts) in gathered.items():
+                for target, delta, weight in row:
+                    _add(out, owned, target, shift + delta, counts, weight)
+            if scale != 1:
+                common = gcd(den, *chain.from_iterable(c.values() for _, c in out.values()))
+                if common != 1:
+                    den //= common
+                    for state, (shift, counts) in out.items():
+                        out[state] = (shift, {key: mass // common for key, mass in counts.items()})
+        dist = out
+        if keep is not None:
+            keep.append((dist, den))
+    return dist, den
+
+
+def _add(groups: dict, owned: set, key: object, shift: int, counts: dict, weight: int) -> None:
+    """Add ``counts`` times ``weight`` at ``shift`` into ``groups[key]``,
+    writing only a dict that ``owned`` names (or a fresh one, then named)."""
+    have = groups.get(key)
+    if weight != 1:
+        counts = {k: mass * weight for k, mass in counts.items()}
+        if have is None or key not in owned:
+            owned.add(key)
+            groups[key] = (shift, counts)
+            if have is None:
+                return
+            shift, counts = have
+    elif have is None:
+        groups[key] = (shift, counts)
+        return
+    elif key not in owned:
+        # Write into a copy of the larger side and add the smaller.
+        if len(counts) > len(have[1]):
+            have, (shift, counts) = (shift, counts), have
+        owned.add(key)
+        groups[key] = (have[0], have[1].copy())
+    base_shift, base = groups[key]
+    get = base.get
+    shift -= base_shift
+    for k, mass in counts.items():
+        k += shift
+        prev = get(k)
+        base[k] = mass if prev is None else prev + mass
+
+
+def flat(kernel: Kernel, dist: Groups | IntDist) -> IntDist:
+    """A distribution of :func:`advance` as ``{counter*S + id: value}``."""
+    if kernel.rows is None:
+        return dist
+    size = kernel.size
+    return {
+        (key + shift) * size + state: mass
+        for state, (shift, counts) in dist.items()
+        for key, mass in counts.items()
+    }
+
+
 # ---------------------------------------------------------------------------
 # Reading a final distribution: the one place outcomes become a Verdict.
 # ---------------------------------------------------------------------------
 
 
 def outcome_sums(kernel: Kernel, items: Iterable[tuple[int, object]]) -> tuple[int, ...]:
-    """The integer sums a verdict is read from, over final (config, value) pairs.
+    """The integer sums a verdict is read from, over the final distribution's
+    items in the kernel's own form: (config, value), or (state, group).
 
-    Classical: the (reject, accept, neutral) masses.  Quantum: the rational
-    and sqrt2 parts of the total norm, then of the accepting norm.
+    Classical: the (reject, accept, neutral) masses; in a blind machine's
+    group the accept or neutral mass is the entry at counter 0.  Quantum:
+    the rational and sqrt2 parts of the total norm, then of the accepting
+    norm.
     """
     size, kinds, blind = kernel.size, kernel.kinds, kernel.blind
+    if kernel.rows is not None:
+        sums = [0, 0, 0]
+        for state, (shift, counts) in items:
+            zero = counts.get(-shift, 0)
+            sums[REJECT] += sum(counts.values()) - zero
+            sums[kinds[state]] += zero
+        return tuple(sums)
     if kernel.quantum:
         total_rat = total_s2 = accept_rat = accept_s2 = 0
         for config, (a, b, c, d) in items:
@@ -470,7 +627,8 @@ def born(sums: tuple[int, ...], den: int) -> Verdict:
 
 
 def read(kernel: Kernel, items: Iterable[tuple[int, object]], den: int) -> Verdict:
-    """The verdict of final (config, value) pairs over ``den``."""
+    """The verdict of a final distribution's items (see :func:`outcome_sums`)
+    over ``den``."""
     return (born if kernel.quantum else tally)(outcome_sums(kernel, items), den)
 
 
@@ -481,7 +639,7 @@ def run_word(machine: CounterMachine, word: str) -> Verdict:
     machines the Born-rule probabilities of one final measurement.
     """
     kernel = compiled(machine)
-    dist, den = propagate(kernel, tape_of(word, machine.alphabet))
+    dist, den = advance(kernel, tape_of(word, machine.alphabet))
     return read(kernel, dist.items(), den)
 
 
@@ -499,8 +657,8 @@ def run_many(machine: CounterMachine, words: Iterable[str]) -> Iterator[Verdict]
     kernel = compiled(machine)
     verdict_of = born if kernel.quantum else tally
     allowed = set(machine.alphabet).difference(ENDMARKERS)
-    stack: list[tuple[IntDist, int]] = []
-    propagate(kernel, (LEFT_END,), keep=stack)
+    stack: list[tuple[Groups | IntDist, int]] = []
+    advance(kernel, (LEFT_END,), keep=stack)
     verdicts: dict[tuple, Verdict] = {}
     prev: Sequence[str] = ""
     for word in words:
@@ -513,7 +671,7 @@ def run_many(machine: CounterMachine, words: Iterable[str]) -> Iterator[Verdict]
         if not allowed.issuperset(new):
             tape_of(new, machine.alphabet)  # raises for the first bad symbol
         del stack[common + 1 :]
-        propagate(kernel, (*new, RIGHT_END), *stack[common], keep=stack)
+        advance(kernel, (*new, RIGHT_END), *stack[common], keep=stack)
         dist, den = stack.pop()  # the step past the word's end
         key = (outcome_sums(kernel, dist.items()), den)
         verdict = verdicts.get(key)
@@ -543,6 +701,15 @@ def exact_items(
         items = [(key, _scaled(mass, den)) for key, mass in dist.items()]
     config_id = kernel.config_id
     return [(config_id(*key), value) for key, value in items], den
+
+
+def read_exact(machine: CounterMachine, dist: Mapping[tuple[str, int], object]) -> Verdict:
+    """The verdict of a ``Fraction`` distribution or ``Amplitude`` vector."""
+    kernel = compiled(machine)
+    items, den = exact_items(kernel, dist)
+    if kernel.rows is not None:
+        items = [(config % kernel.size, (0, {config // kernel.size: mass})) for config, mass in items]
+    return read(kernel, items, den)
 
 
 def from_exact(kernel: Kernel, dist: Mapping[tuple[str, int], object]) -> tuple[IntDist, int]:

@@ -76,8 +76,7 @@ def measure(machine: CounterMachine, psi: StateVector) -> Verdict:
     whose operators are unitary); a residue is raised, not rounded.
     """
     _require_quantum(machine)
-    kernel = _kernel.compiled(machine)
-    return _kernel.read(kernel, *_kernel.exact_items(kernel, psi))
+    return _kernel.read_exact(machine, psi)
 
 
 def run_quantum(machine: CounterMachine, word: str) -> Verdict:

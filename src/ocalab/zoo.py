@@ -208,8 +208,10 @@ def build_xoreq_q1ca(modulus: int = 5) -> CounterMachine:
     ``modulus`` must be odd and at least 3: compared blocks are even, so
     an odd modulus first aliases an unequal pair at difference 2·modulus,
     giving exact verdicts on every promise instance whose compared blocks
-    differ by less than that (the default covers all blocks up to length
-    8 apart, far beyond the desk-scale grid).
+    differ by less than that.  With the default 5 the zoo's 1/0/0 claim
+    on ``xor-eq`` holds for n ≤ 11; at n = 12 the no-instance
+    ``00#00#0000#000000000000##0000#0000#`` compares blocks 2 and 12 and
+    is accepted with probability 1/2.
     """
     if modulus < 3 or modulus % 2 == 0:
         raise ValueError("modulus must be odd and >= 3")

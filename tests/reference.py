@@ -191,13 +191,15 @@ def _ref_gram_violations(symbol, vectors, keys):
     return violations
 
 
-def ref_check_unitarity(machine):
-    """The Amplitude column builder and Gram check, windows as documented."""
+def ref_check_unitarity(machine, reach=2):
+    """The Amplitude column builder and Gram check, windows as documented:
+    counters within ``reach * max_step`` of 0, columns from one step
+    further out.  Only tests of the window itself pass another ``reach``."""
     if not machine.mclass.quantum:
         raise SimulationError("quantum machines only")
     m = machine.max_step
-    window = range(-2 * m, 2 * m + 1)
-    source_window = range(-3 * m, 3 * m + 1)
+    window = range(-reach * m, reach * m + 1)
+    source_window = range(-(reach + 1) * m, (reach + 1) * m + 1)
     states = list(machine.states)
     if SINK not in states:
         states.append(SINK)
@@ -219,7 +221,7 @@ def ref_check_unitarity(machine):
         rows = {}
         for source, column in columns.items():
             for target, amp in column.items():
-                if -2 * m <= target[1] <= 2 * m:
+                if -reach * m <= target[1] <= reach * m:
                     rows.setdefault(target, {})[source] = amp
         coisometry.extend(_ref_gram_violations(symbol, rows, window_keys))
     return UnitarityReport(tuple(isometry), tuple(coisometry))

@@ -349,6 +349,15 @@ def test_adversary_brute_refutes_file_machine(tmp_path, capsys):
     assert payload["reason"] == "expected accept=0 on a no-instance, got 1"
 
 
+def test_adversary_brute_without_instances_is_a_usage_error(capsys):
+    # The same bound that batch refuses: nothing is scanned, so nothing is shown.
+    code = main(["adversary", "brute", "onenone-lv-t2", "--max-n", "4"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == "no instances of one-none-t2 up to --max-n 4\n"
+    assert captured.out == ""
+
+
 def test_adversary_brute_missing_arguments(tmp_path, capsys):
     code = main(["adversary", "brute", "xoreq-q1ca"])
     assert code == EXIT_INVALID

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ocalab.classical
 import ocalab.quantum
-from helpers import F, L, R, hadamard2, hadamard2_broken, mk
+from helpers import F, H, L, R, hadamard2, hadamard2_broken, mk
 from ocalab import (
     AMP_HALF,
     AMP_INV_SQRT2,
@@ -39,7 +39,7 @@ from ocalab import (
     xoreq_word,
     zoo_names,
 )
-from ocalab.kernel import compiled, propagate, run_many, run_word
+from ocalab.kernel import advance, compiled, flat, propagate, run_many, run_word
 from reference import (
     ref_check_unitarity,
     ref_distributions,
@@ -67,9 +67,9 @@ AMPLITUDES = (
 
 
 @st.composite
-def small_machines(draw):
+def small_machines(draw, classes=tuple(MachineClass)):
     """Random small machines of every class, well typed but not unitary."""
-    mclass = draw(st.sampled_from(list(MachineClass)))
+    mclass = draw(st.sampled_from(classes))
     states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
     alphabet = draw(st.sampled_from(["a", "ab"]))
     max_step = draw(st.integers(1, 2))
@@ -465,3 +465,124 @@ def test_xoreq_generator_matches_reference(n):
                          + [(2, n) for n in (0, 8, 12, 16, 17, 20)] + [(3, 12), (3, 24)])
 def test_onenone_generator_matches_reference(t, n):
     assert generate(f"one-none-t{t}", n) == ref_gen_onenone(t, n)
+
+
+# ---------------------------------------------------------------------------
+# The grouped loop of blind machines, and the flat loop it falls back to.
+# ---------------------------------------------------------------------------
+
+
+def _matches_reference(machine, words):
+    for word in words:
+        trace = run_trace(machine, word, keep_distributions=True)
+        assert trace.distributions == tuple(ref_distributions(machine, word))
+        assert trace.verdict == run_word(machine, word) == ref_run(machine, word)
+    assert list(run_many(machine, words)) == [ref_run(machine, word) for word in words]
+
+
+def test_counter_reading_machines_run_flat_and_exact():
+    # On 'a' state s splits at counter 0 but climbs or falls elsewhere, so
+    # its mass sits at counter 0 beside other counter values, and the Z and
+    # NZ rows of s and t differ.
+    rows = [
+        ("s", L, "*", [("s", 0, F(1))]),
+        ("s", "a", "Z", [("s", 1, H), ("t", 0, H)]),
+        ("s", "a", "NZ", [("s", -1, F(1, 3)), ("s", 1, F(2, 3))]),
+        ("t", "a", "Z", [("t", 1, F(1))]),
+        ("t", "a", "NZ", [("s", -1, H), ("t", 0, H)]),
+        ("s", R, "*", [("s", 0, F(1))]),
+        ("t", R, "*", [("t", 0, F(1))]),
+    ]
+    words = ["aaaaaaa", "aaa", "aaaaa", "a", "aaaaaa"]
+    for tag in ("p1ca", "lv-p1ca"):
+        machine = mk("reader", tag, "a", ("s", "t"), "s", ("s",), rows, neutral=("t",))
+        assert compiled(machine).rows is None
+        _matches_reference(machine, words)
+        counters = {counter for state, counter in run_trace(machine, "aaaa").final if state == "s"}
+        assert 0 in counters and len(counters) > 1
+    # A blind machine whose rows read the counter (which a blind class
+    # forbids) is run flat as well, so it still steps as its table says.
+    machine = mk("reader", "p1bca", "a", ("s", "t"), "s", ("s",), rows)
+    assert compiled(machine).rows is None
+    _matches_reference(machine, words)
+
+
+def test_run_many_snapshots_survive_returning_to_a_prefix():
+    # Each 'a' takes a branching row; each word leaves the stack at a
+    # prefix the next word returns to, so a snapshot written after the
+    # step that made it would show here.
+    machine = get_entry("eq-star-p1bca-k3").machine
+    assert compiled(machine).rows is not None
+    words = ["aab", "aabbaab", "aa", "aabbaa", "aabb", "a", "aab", "aabbaabb", "aabba", "aab"]
+    verdicts = list(run_many(machine, words))
+    assert verdicts == [run_word(machine, word) for word in words]
+    assert verdicts == [ref_run(machine, word) for word in words]
+
+
+def _steps_as_flat(machine, word):
+    """Every (distribution, D) of the grouped loop and of the flat loop,
+    which the kernel's own tables passed as ``tables`` select."""
+    kernel = compiled(machine)
+    tape = tape_of(word, machine.alphabet)
+    grouped, flat_steps = [], []
+    advance(kernel, tape, keep=grouped)
+    propagate(kernel, tape, keep=flat_steps, tables=kernel.tables)
+    return [(flat(kernel, dist), den) for dist, den in grouped], flat_steps
+
+
+BLIND_CLASSES = tuple(mclass for mclass in MachineClass if mclass.blind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_machines(BLIND_CLASSES), st.data())
+def test_grouped_loop_equals_the_flat_loop_bit_for_bit(machine, data):
+    # Same configurations, same values and the same gcd-reduced D at every step.
+    assert compiled(machine).rows is not None
+    word = data.draw(st.text(alphabet=machine.alphabet, max_size=9))
+    grouped, flat_steps = _steps_as_flat(machine, word)
+    assert grouped == flat_steps
+
+
+def test_long_words_step_exactly_through_the_grouped_loop():
+    # A 200-letter eq-star word that keeps up to 243 configurations alive.
+    eqstar = get_entry("eq-star-p1bca-k3").machine
+    eqstar_word = "a" + "".join("ab"[(7 * i * i + 3 * i) % 5 < 2] for i in range(199))
+    eq3 = get_entry("eq3-p1bca-k4").machine
+    for machine, word in ((eqstar, eqstar_word), (eq3, "c" * 150 + "d" * 150 + "e" * 151)):
+        assert compiled(machine).rows is not None
+        trace = run_trace(machine, word, keep_distributions=True)
+        expected = ref_distributions(machine, word)
+        assert trace.distributions == tuple(expected)
+        assert trace.verdict == ref_verdict_of(machine, expected[-1])
+        grouped, flat_steps = _steps_as_flat(machine, word)
+        assert grouped == flat_steps
+
+
+@st.composite
+def permutation_q1ca(draw):
+    """Small q1ca whose rows permute the states with signs and shifts: with
+    both statuses alike they are unitary.  A status split, a dropped row
+    or a halved weight can break that anywhere near counter 0."""
+    states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    max_step = draw(st.integers(1, 2))
+    rows = []
+    for symbol in ["a", L, R]:
+        for status in draw(st.sampled_from([("*",), ("*",), ("Z", "NZ")])):
+            for state, target in zip(states, draw(st.permutations(states))):
+                sign = draw(st.sampled_from([AMP_ONE, -AMP_ONE]))
+                delta = draw(st.integers(-max_step, max_step))
+                rows.append((state, symbol, status, [(target, delta, sign)]))
+    flaw = draw(st.sampled_from([None, None, "drop", "halve"]))
+    if flaw is not None:
+        index = draw(st.integers(0, len(rows) - 1))
+        state, symbol, status, [(target, delta, sign)] = rows.pop(index)
+        if flaw == "halve":
+            rows.insert(index, (state, symbol, status, [(target, delta, sign * AMP_HALF)]))
+    return mk("perm", "q1ca", "a", states, states[0], (), rows, max_step=max_step)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(permutation_q1ca(), small_machines((MachineClass.Q1CA,))))
+def test_unitarity_window_is_conclusive(machine):
+    # The verdict over counters -2m..2m is the verdict over -6m..6m.
+    assert check_unitarity(machine).ok == ref_check_unitarity(machine, reach=6).ok

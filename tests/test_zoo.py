@@ -189,6 +189,14 @@ def test_xoreq_modulus_variant():
     assert run_quantum(mod3, word).accept == F(1, 2)
 
 
+def test_xoreq_claim_ends_at_n_11(xoreq):
+    # Blocks are compared mod 5, so compared blocks 2 and 12 alias: the
+    # claimed 1/0/0 fails on this no-instance, the first one at n = 12.
+    witness = "00#00#0000#000000000000##0000#0000#"
+    assert classify_xoreq(witness) == "no"
+    assert run_quantum(xoreq, witness).accept == F(1, 2)
+
+
 def test_xoreq_modulus_validation():
     for bad in (0, 1, 4, -5):
         with pytest.raises(ValueError):
