@@ -68,7 +68,8 @@ AMPLITUDES = (
 
 @st.composite
 def small_machines(draw, classes=tuple(MachineClass)):
-    """Random small machines of every class, well typed but not unitary."""
+    """Random small machines of the given classes (every class by
+    default), well typed but not unitary."""
     mclass = draw(st.sampled_from(classes))
     states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
     alphabet = draw(st.sampled_from(["a", "ab"]))
