@@ -23,13 +23,14 @@ from fractions import Fraction
 from itertools import tee
 from typing import Callable, Optional
 
-from .classical import run
+from .classical import decide_mode, run
 from .core import (
     LEFT_END,
     NZ,
     RIGHT_END,
     CounterMachine,
     EngineError,
+    MachineClass,
     SimulationError,
     Verdict,
     status_of,
@@ -65,7 +66,7 @@ __all__ = [
 def _require_deterministic(machine: CounterMachine) -> None:
     if not machine.mclass.deterministic:
         raise EngineError(
-            f"machine {machine.name!r} is {machine.mclass.value}; "
+            f"machine {machine.name!r} is {machine.mclass.tag}; "
             "this procedure needs a deterministic machine"
         )
 
@@ -441,10 +442,8 @@ def pump_u1bca(
     by the cycle's drift — at least one still rejects, so the machine
     rejects a word it claims to accept.
     """
-    if machine.mclass.value != "u1bca":
-        raise EngineError(
-            f"machine {machine.name!r} is {machine.mclass.value}; expected u1bca"
-        )
+    if machine.mclass is not MachineClass.U1BCA:
+        raise EngineError(f"machine {machine.name!r} is {machine.mclass.tag}; expected u1bca")
     n_states = len(machine.states)
     if word is None:
         n1 = n_states + 1
@@ -456,8 +455,7 @@ def pump_u1bca(
         if n1 <= n_states:
             raise EngineError("base word's first a-block must exceed the state count")
 
-    verdict = run(machine, word)
-    if verdict.accept == 1:
+    if decide_mode(machine, word):
         return PumpRefutation(
             kind="accepts-member",
             base_word=word,
@@ -513,7 +511,7 @@ def pump_u1bca(
     pumped_word, final = witness
     if classify_eqstar(pumped_word):
         raise SimulationError("pumped word failed oracle self-verification")
-    if run(machine, pumped_word).accept == 1:
+    if decide_mode(machine, pumped_word):
         raise SimulationError("pumped word failed engine self-verification")
 
     return PumpRefutation(
@@ -566,7 +564,7 @@ def exists_rule() -> Rule:
     """Nondeterministic mode: yes iff any accepting path exists."""
 
     def rule(label: str, verdict: Verdict) -> Optional[str]:
-        decided_yes = verdict.accept > 0
+        decided_yes = MachineClass.N1BCA.decides_yes(verdict.accept)
         if label == YES and not decided_yes:
             return "no accepting path on a yes-instance"
         if label == NO and decided_yes:
@@ -580,7 +578,7 @@ def forall_rule() -> Rule:
     """Universal mode: yes iff every path accepts."""
 
     def rule(label: str, verdict: Verdict) -> Optional[str]:
-        decided_yes = verdict.accept == 1
+        decided_yes = MachineClass.U1BCA.decides_yes(verdict.accept)
         if label == YES and not decided_yes:
             return f"rejecting path (accept mass {verdict.accept}) on a yes-instance"
         if label == NO and decided_yes:
@@ -606,30 +604,15 @@ def lv_rule() -> Rule:
 
 
 def bounds_rule(bounds: ClaimedBounds, las_vegas: bool = False) -> Rule:
-    """Hold a machine to its claimed exact bounds (plus LV soundness)."""
+    """Hold a machine to its claimed exact bounds (plus LV soundness).
+
+    The rule is :meth:`ClaimedBounds.violation`, the check ``ocalab batch``
+    makes too.
+    """
+    violation = bounds.violation
 
     def rule(label: str, verdict: Verdict) -> Optional[str]:
-        if verdict.neutral > bounds.dontknow_max:
-            return (
-                f"dontknow {verdict.neutral} exceeds bound {bounds.dontknow_max}"
-            )
-        if las_vegas and verdict.accept > 0 and verdict.reject > 0:
-            return "both accept and reject have positive probability"
-        if label == YES:
-            if verdict.accept < bounds.accept_on_yes_min:
-                return (
-                    f"accept {verdict.accept} below claimed yes-bound "
-                    f"{bounds.accept_on_yes_min}"
-                )
-            if las_vegas and verdict.reject > 0:
-                return f"reject probability {verdict.reject} on a yes-instance"
-        if label == NO:
-            if verdict.accept > bounds.accept_on_no_max:
-                return (
-                    f"accept {verdict.accept} above claimed no-bound "
-                    f"{bounds.accept_on_no_max}"
-                )
-        return None
+        return violation(label, verdict, las_vegas)
 
     return rule
 
@@ -641,9 +624,9 @@ def default_rule(machine: CounterMachine) -> Rule:
         return exact_rule()
     if mclass.las_vegas:
         return lv_rule()
-    if mclass.value == "n1bca":
+    if mclass is MachineClass.N1BCA:
         return exists_rule()
-    if mclass.value == "u1bca":
+    if mclass is MachineClass.U1BCA:
         return forall_rule()
     return threshold_rule()
 

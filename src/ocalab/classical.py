@@ -20,7 +20,6 @@ from math import gcd
 from . import kernel as _kernel
 from .core import (
     CounterMachine,
-    MachineClass,
     SimulationError,
     Verdict,
     tape_of,
@@ -114,19 +113,12 @@ def run(machine: CounterMachine, word: str) -> Verdict:
 
 
 def decide_mode(machine: CounterMachine, word: str) -> bool:
-    """Yes/no reading for the modal classes.
-
-    Existential machines accept when any branch accepts (positive accept
-    mass); universal machines accept only when every branch does (accept
-    mass exactly 1).
-    """
-    if machine.mclass is MachineClass.N1BCA:
-        return run(machine, word).accept > 0
-    if machine.mclass is MachineClass.U1BCA:
-        return run(machine, word).accept == 1
-    raise SimulationError(
-        f"decide_mode needs an existential or universal machine, got {machine.mclass.tag}"
-    )
+    """Yes/no reading of a run for the modal classes: ``MachineClass.decides_yes``."""
+    if not machine.mclass.modal:
+        raise SimulationError(
+            f"decide_mode needs an existential or universal machine, got {machine.mclass.tag}"
+        )
+    return machine.mclass.decides_yes(run(machine, word).accept)
 
 
 _OUTCOMES = {_kernel.ACCEPT: "accept", _kernel.NEUTRAL: "dontknow", _kernel.REJECT: "reject"}

@@ -158,6 +158,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except (ValueError, EngineError) as exc:
         raise _CliError(str(exc), EXIT_INVALID) from exc
 
+    bounds = None if entry is None else entry.claimed_bounds
+    violated = False
     records = []
     min_yes: Optional[Fraction] = None
     max_no: Optional[Fraction] = None
@@ -172,6 +174,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             hit = seen.get((id(verdict), label))
             if hit is None:
                 hit = seen[(id(verdict), label)] = (verdict, _verdict_fields(verdict))
+                if bounds is not None and bounds.violation(label, verdict) is not None:
+                    violated = True
                 max_dontknow = max(max_dontknow, verdict.neutral)
                 if label == "yes" and (min_yes is None or verdict.accept < min_yes):
                     min_yes = verdict.accept
@@ -210,22 +214,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise _CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
 
-    if entry is not None:
-        bounds = entry.claimed_bounds
-        ok = (
-            (min_yes is None or min_yes >= bounds.accept_on_yes_min)
-            and (max_no is None or max_no <= bounds.accept_on_no_max)
-            and max_dontknow <= bounds.dontknow_max
+    if violated:
+        print(
+            f"claimed bounds violated for {entry.name}: "
+            f"min accept on yes {None if min_yes is None else _fmt(min_yes)}, "
+            f"max accept on no {None if max_no is None else _fmt(max_no)}, "
+            f"max dontknow {_fmt(max_dontknow)}",
+            file=sys.stderr,
         )
-        if not ok:
-            print(
-                f"claimed bounds violated for {entry.name}: "
-                f"min accept on yes {None if min_yes is None else _fmt(min_yes)}, "
-                f"max accept on no {None if max_no is None else _fmt(max_no)}, "
-                f"max dontknow {_fmt(max_dontknow)}",
-                file=sys.stderr,
-            )
-            return EXIT_INVALID
+        return EXIT_INVALID
     return EXIT_OK
 
 

@@ -115,6 +115,18 @@ class MachineClass(enum.Enum):
         """Classes whose verdict is a yes/no over branch existence, not a probability."""
         return self in (MachineClass.N1BCA, MachineClass.U1BCA)
 
+    def decides_yes(self, accept: Fraction) -> bool:
+        """The yes/no reading of a modal class's accept mass.
+
+        Existential machines say yes when any branch accepts (mass > 0),
+        universal ones only when every branch does (mass exactly 1).
+        """
+        if self is MachineClass.N1BCA:
+            return accept > 0
+        if self is MachineClass.U1BCA:
+            return accept == 1
+        raise ValueError(f"class {self.tag} has no modal reading")
+
     @property
     def probabilistic(self) -> bool:
         """Classes whose branch weights are probabilities (summing to one)."""
@@ -138,7 +150,7 @@ class Verdict:
 
     Non-Las-Vegas machines always report zero neutral mass.  For the modal
     classes the fields still sum to one but carry branch mass rather than
-    probability; their yes/no reading lives in :func:`ocalab.classical.decide`.
+    probability; their yes/no reading is :meth:`MachineClass.decides_yes`.
     """
 
     accept: Fraction

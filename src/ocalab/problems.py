@@ -29,6 +29,9 @@ OUTSIDE = "outside_promise"
 DEFAULT_CEILING = 24
 WORD_CEILING = 16  # problems that list every string up to the bound
 ONENONE_CEILING = 200
+# A ONE block is at least "ad" and a NONE block at least "abbddd" long, so the
+# shortest one-none-t<t> instance has 8t letters: larger t have no instance.
+ONENONE_T_MAX = ONENONE_CEILING // 8
 
 Instance = tuple[str, str]
 
@@ -316,14 +319,6 @@ def _bool_problem(classify: Callable[[str], bool]) -> Callable[[str], str]:
     return wrapped
 
 
-def _gen_over(symbols: str, classify: Callable[[str], bool]) -> Callable[[int], Iterator[Instance]]:
-    def gen(n: int) -> Iterator[Instance]:
-        for w in _strings_over(symbols, n):
-            yield w, YES if classify(w) else NO
-
-    return gen
-
-
 def _gen_L(n: int) -> Iterator[Instance]:
     """Empty string plus both pure-alphabet fragments up to length n."""
     yield "", YES
@@ -337,58 +332,49 @@ def _gen_L(n: int) -> Iterator[Instance]:
 # Registry
 # ---------------------------------------------------------------------------
 
-_ONENONE_NAME = re.compile(r"one-none-t([1-9]\d*)$")
+
+def _word_problem(name: str, symbols: str, classify: Callable[[str], bool]) -> PromiseProblem:
+    """Every word over ``symbols`` up to the bound, labelled by ``classify``."""
+
+    def stream(n: int) -> Iterator[Instance]:
+        for w in _strings_over(symbols, n):
+            yield w, YES if classify(w) else NO
+
+    return PromiseProblem(name, tuple(symbols), _bool_problem(classify), stream, WORD_CEILING)
 
 
-def _problems() -> dict[str, PromiseProblem]:
-    out = {
-        "xor-eq": PromiseProblem("xor-eq", XOREQ_ALPHABET, classify_xoreq, _gen_xoreq),
-        "eq-star": PromiseProblem(
-            "eq-star",
-            ("a", "b"),
-            _bool_problem(classify_eqstar),
-            _gen_over("ab", classify_eqstar),
-            WORD_CEILING,
-        ),
-        "eq-star-complement": PromiseProblem(
-            "eq-star-complement",
-            ("a", "b"),
-            _bool_problem(classify_eqstar_complement),
-            _gen_over("ab", classify_eqstar_complement),
-            WORD_CEILING,
-        ),
-        "eq3": PromiseProblem(
-            "eq3",
-            ("c", "d", "e"),
-            _bool_problem(classify_eq3),
-            _gen_over("cde", classify_eq3),
-            WORD_CEILING,
-        ),
-        "lang-L": PromiseProblem(
-            "lang-L", ("a", "b", "c", "d", "e"), _bool_problem(classify_L), _gen_L, WORD_CEILING
-        ),
-    }
-    return out
+def _onenone_problem(t: int) -> PromiseProblem:
+    return PromiseProblem(
+        f"one-none-t{t}",
+        ("a", "b", "c", "d"),
+        lambda w: classify_onenone_t(w, t),
+        lambda n: _gen_onenone(t, n),
+        ONENONE_CEILING,
+    )
+
+
+_PROBLEMS = {
+    problem.name: problem
+    for problem in (
+        PromiseProblem("xor-eq", XOREQ_ALPHABET, classify_xoreq, _gen_xoreq),
+        _word_problem("eq-star", "ab", classify_eqstar),
+        _word_problem("eq-star-complement", "ab", classify_eqstar_complement),
+        _word_problem("eq3", "cde", classify_eq3),
+        PromiseProblem("lang-L", tuple("abcde"), _bool_problem(classify_L), _gen_L, WORD_CEILING),
+        *(_onenone_problem(t) for t in range(1, ONENONE_T_MAX + 1)),
+    )
+}
 
 
 def get_problem(name: str) -> PromiseProblem:
-    """Look up a problem by its stable name (``one-none-t<t>`` is parametric)."""
-    if name == "one-none":
-        name = "one-none-t1"
-    match = _ONENONE_NAME.match(name)
-    if match:
-        t = int(match.group(1))
-        return PromiseProblem(
-            name,
-            ("a", "b", "c", "d"),
-            lambda w, _t=t: classify_onenone_t(w, _t),
-            lambda n, _t=t: _gen_onenone(_t, n),
-            ONENONE_CEILING,
-        )
-    table = _problems()
-    if name not in table:
+    """Look up a problem by its stable name.
+
+    ``one-none-t<t>`` takes t in 1..25, and ``one-none`` is ``one-none-t1``.
+    """
+    problem = _PROBLEMS.get("one-none-t1" if name == "one-none" else name)
+    if problem is None:
         raise EngineError(f"unknown problem name: {name!r}")
-    return table[name]
+    return problem
 
 
 def list_problems() -> list[str]:

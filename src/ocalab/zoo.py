@@ -24,7 +24,9 @@ from .core import (
     MachineClass,
     TransEntry,
     TransTable,
+    Verdict,
 )
+from .problems import NO, ONENONE_T_MAX, YES
 
 __all__ = [
     "ClaimedBounds",
@@ -58,6 +60,25 @@ class ClaimedBounds:
     accept_on_yes_min: Fraction
     accept_on_no_max: Fraction
     dontknow_max: Fraction
+
+    def violation(self, label: str, verdict: Verdict, las_vegas: bool = False) -> str | None:
+        """Why ``verdict`` on an instance labelled ``label`` breaks these bounds, or None.
+
+        With ``las_vegas`` set, a verdict that both accepts and rejects, or
+        rejects a yes-instance, breaks them too.
+        """
+        if verdict.neutral > self.dontknow_max:
+            return f"dontknow {verdict.neutral} exceeds bound {self.dontknow_max}"
+        if las_vegas and verdict.accept > 0 and verdict.reject > 0:
+            return "both accept and reject have positive probability"
+        if label == YES:
+            if verdict.accept < self.accept_on_yes_min:
+                return f"accept {verdict.accept} below claimed yes-bound {self.accept_on_yes_min}"
+            if las_vegas and verdict.reject > 0:
+                return f"reject probability {verdict.reject} on a yes-instance"
+        if label == NO and verdict.accept > self.accept_on_no_max:
+            return f"accept {verdict.accept} above claimed no-bound {self.accept_on_no_max}"
+        return None
 
 
 @dataclass(frozen=True)
@@ -463,9 +484,13 @@ def build_onenone_lv() -> CounterMachine:
 
 
 def build_onenone_lv_t(t: int) -> CounterMachine:
-    """The same machine, named for the t-pair slice of the problem."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    """The same machine, named for the t-pair slice of the problem.
+
+    ``t`` must lie in 1..25: no ``one-none-t<t>`` with a larger t has an
+    instance within the problem's ceiling.
+    """
+    if not 1 <= t <= ONENONE_T_MAX:
+        raise ValueError(f"t must be in 1..{ONENONE_T_MAX}")
     machine = build_onenone_lv()
     if t == 1:
         return machine
@@ -609,61 +634,49 @@ def build_eqstar_complement_d1ca() -> CounterMachine:
 # ---------------------------------------------------------------------------
 
 
+def _renamed(machine: CounterMachine, names: dict[str, str]) -> TransTable:
+    """The machine's table with every state renamed through ``names``."""
+    return {
+        (names[state], symbol, status): tuple((names[t], delta, w) for t, delta, w in row)
+        for (state, symbol, status), row in machine.transitions.items()
+    }
+
+
 def build_l_p1ca(k: int) -> CounterMachine:
     """Probabilistic machine for the two-fragment union language.
 
     The first input letter routes to a deterministic complement-of-EQ*
     component (over {a,b}) or to a k-branch equality component (over
     {c,d,e}); the empty word is accepted outright.  Members accept with
-    probability 1, non-members with at most 1/k.
+    probability 1, non-members with at most 1/k.  The components are the
+    tables of :func:`build_eqstar_complement_d1ca` and
+    :func:`build_eq3_p1bca`, renamed.
     """
-    if not 2 <= k <= 9:
-        raise ValueError("k must be in 2..9")
+    eq3 = build_eq3_p1bca(k)
+    complement = {"start": "Lstart", "inA": "Ca", "inB": "Cb", "bad": "Cbad", "done": "Cdone"}
+    equality = {state: "E" + state for state in eq3.states[1:]}
     kth = Fraction(1, k)
     one = Fraction(1)
-    states = ["Lstart", "Ca", "Cb", "Cbad", "Cdone"]
-    for letter in "cde":
-        states += [f"E{letter}{i}" for i in range(1, k + 1)]
-    states += ["eqOK", "eqBad", "Lacc"]
-
-    table: TransTable = {}
-    _both(table, "Lstart", LEFT_END, (("Lstart", 0, one),))
+    # The complement's start rows replace eq3's: L splits on its first c,
+    # not at the left endmarker.
+    table = {
+        **_renamed(eq3, {"start": "Lstart", **equality}),
+        **_renamed(build_eqstar_complement_d1ca(), complement),
+    }
     _both(table, "Lstart", RIGHT_END, (("Lacc", 0, one),))
-    _both(table, "Lstart", "a", (("Ca", +1, one),))
-    _both(table, "Lstart", "b", (("Cbad", 0, one),))
     _both(table, "Lstart", "c", tuple((f"Ec{i}", i, kth) for i in range(1, k + 1)))
     _both(table, "Lstart", "d", (("eqBad", 0, one),))
     _both(table, "Lstart", "e", (("eqBad", 0, one),))
-
-    _both(table, "Ca", "a", (("Ca", +1, one),))
-    _both(table, "Ca", "b", (("Cb", -1, one),))
-    _both(table, "Ca", RIGHT_END, (("Cbad", 0, one),))
-    table[("Cb", "b", NZ)] = (("Cb", -1, one),)
-    table[("Cb", "b", Z)] = (("Cbad", 0, one),)
-    table[("Cb", "a", Z)] = (("Ca", +1, one),)
-    table[("Cb", "a", NZ)] = (("Cbad", 0, one),)
-    table[("Cb", RIGHT_END, Z)] = (("Cdone", 0, one),)
-    table[("Cb", RIGHT_END, NZ)] = (("Cbad", 0, one),)
-    for symbol in ("a", "b", RIGHT_END):
-        _both(table, "Cbad", symbol, (("Cbad", 0, one),))
-
-    for i in range(1, k + 1):
-        _both(table, f"Ec{i}", "c", ((f"Ec{i}", i, one),))
-        _both(table, f"Ec{i}", "d", ((f"Ed{i}", 1 - i, one),))
-        _both(table, f"Ec{i}", "e", ((f"Ee{i}", -1, one),))
-        _both(table, f"Ed{i}", "d", ((f"Ed{i}", 1 - i, one),))
-        _both(table, f"Ed{i}", "e", ((f"Ee{i}", -1, one),))
-        _both(table, f"Ee{i}", "e", ((f"Ee{i}", -1, one),))
-        _both(table, f"Ec{i}", RIGHT_END, (("eqBad", 0, one),))
-        _both(table, f"Ed{i}", RIGHT_END, (("eqBad", 0, one),))
-        table[(f"Ee{i}", RIGHT_END, Z)] = (("eqOK", 0, one),)
-        table[(f"Ee{i}", RIGHT_END, NZ)] = (("eqBad", 0, one),)
+    # At $ the equality component reads its counter: only an e-state at zero accepts.
+    for state in equality.values():
+        table[(state, RIGHT_END, Z)] = (("eqOK" if state[1] == "e" else "eqBad", 0, one),)
+        table[(state, RIGHT_END, NZ)] = (("eqBad", 0, one),)
 
     return CounterMachine(
         name=f"lang-L-p1ca-k{k}",
         mclass=MachineClass.P1CA,
         alphabet=("a", "b", "c", "d", "e"),
-        states=tuple(states),
+        states=(*complement.values(), *equality.values(), "eqOK", "eqBad", "Lacc"),
         initial="Lstart",
         accepting=frozenset({"Lacc", "Cbad", "eqOK"}),
         transitions=table,
@@ -677,86 +690,52 @@ def build_l_p1ca(k: int) -> CounterMachine:
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_NUM = r"(0|[1-9]\d*)"  # a family parameter, without leading zeros
 
 
-def _onenone_bounds(t: int) -> ClaimedBounds:
-    residual = Fraction(2, 3) ** t
-    return ClaimedBounds(
-        accept_on_yes_min=1 - residual,
-        accept_on_no_max=_ZERO,
-        dontknow_max=residual,
-    )
+def _cap(k: int) -> ClaimedBounds:
+    return ClaimedBounds(_ONE, Fraction(1, k), _ZERO)
+
+
+# (name pattern, builder, problem, claimed bounds, note) per family.  The
+# pattern's group, if any, is the family parameter (an omitted one is 1):
+# it is passed to the builder and the bounds and formatted into the
+# problem and the note.  The builder runs first, so it rejects a
+# parameter out of range before anything else is computed from it.
+_FAMILIES = (
+    ("m1", build_m1, "xor-eq", lambda: ClaimedBounds(_ZERO, _ONE, _ZERO),
+     "deterministic comparator of the first and third 0-blocks; "
+     "solves only half of XOR-EQ (vacuous bounds)"),
+    ("m2", build_m2, "xor-eq", lambda: ClaimedBounds(_ZERO, _ONE, _ZERO),
+     "deterministic comparator of the second and fourth 0-blocks; "
+     "solves only half of XOR-EQ (vacuous bounds)"),
+    ("xoreq-q1ca", build_xoreq_q1ca, "xor-eq", lambda: ClaimedBounds(_ONE, _ZERO, _ZERO),
+     "exact quantum XOR of two block equalities"),
+    (rf"onenone-lv(?:-t{_NUM})?", build_onenone_lv_t, "one-none-t{}",
+     lambda t: ClaimedBounds(1 - Fraction(2, 3) ** t, _ZERO, Fraction(2, 3) ** t),
+     "Las Vegas block-pattern decider, {} pair(s): answers with probability 1-(2/3)^t, never wrongly"),
+    (rf"eq-star-p1bca-k{_NUM}", build_eqstar_p1bca, "eq-star", _cap,
+     "blind one-sided verifier of (a^n b^n)*"),
+    (rf"eq3-p1bca-k{_NUM}", build_eq3_p1bca, "eq3", _cap, "blind one-sided verifier of c^n d^n e^n"),
+    ("eq-star-complement-d1ca", build_eqstar_complement_d1ca, "eq-star-complement",
+     lambda: ClaimedBounds(_ONE, _ZERO, _ZERO), "deterministic acceptor of the complement of (a^n b^n)*"),
+    (rf"lang-L-p1ca-k{_NUM}", build_l_p1ca, "lang-L", _cap,
+     "one-sided verifier of the two-fragment union language"),
+)
 
 
 def _entry(name: str) -> ZooEntry:
-    if name in ("m1", "m2"):
-        machine = build_m1() if name == "m1" else build_m2()
-        which = "first and third" if name == "m1" else "second and fourth"
-        return ZooEntry(
-            name=name,
-            machine=machine,
-            problem="xor-eq",
-            claimed_bounds=ClaimedBounds(_ZERO, _ONE, _ZERO),
-            note=f"deterministic comparator of the {which} 0-blocks; "
-            "solves only half of XOR-EQ (vacuous bounds)",
-        )
-    if name == "xoreq-q1ca":
-        return ZooEntry(
-            name=name,
-            machine=build_xoreq_q1ca(),
-            problem="xor-eq",
-            claimed_bounds=ClaimedBounds(_ONE, _ZERO, _ZERO),
-            note="exact quantum XOR of two block equalities",
-        )
-    match = re.fullmatch(r"onenone-lv(?:-t(\d+))?", name)
-    if match:
-        t = int(match.group(1)) if match.group(1) else 1
-        return ZooEntry(
-            name=name,
-            machine=build_onenone_lv_t(t),
-            problem=f"one-none-t{t}",
-            claimed_bounds=_onenone_bounds(t),
-            note=f"Las Vegas block-pattern decider, {t} pair(s): "
-            "answers with probability 1-(2/3)^t, never wrongly",
-        )
-    match = re.fullmatch(r"eq-star-p1bca-k(\d+)", name)
-    if match:
-        k = int(match.group(1))
-        return ZooEntry(
-            name=name,
-            machine=build_eqstar_p1bca(k),
-            problem="eq-star",
-            claimed_bounds=ClaimedBounds(_ONE, Fraction(1, k), _ZERO),
-            note="blind one-sided verifier of (a^n b^n)*",
-        )
-    match = re.fullmatch(r"eq3-p1bca-k(\d+)", name)
-    if match:
-        k = int(match.group(1))
-        return ZooEntry(
-            name=name,
-            machine=build_eq3_p1bca(k),
-            problem="eq3",
-            claimed_bounds=ClaimedBounds(_ONE, Fraction(1, k), _ZERO),
-            note="blind one-sided verifier of c^n d^n e^n",
-        )
-    if name == "eq-star-complement-d1ca":
-        return ZooEntry(
-            name=name,
-            machine=build_eqstar_complement_d1ca(),
-            problem="eq-star-complement",
-            claimed_bounds=ClaimedBounds(_ONE, _ZERO, _ZERO),
-            note="deterministic acceptor of the complement of (a^n b^n)*",
-        )
-    match = re.fullmatch(r"lang-L-p1ca-k(\d+)", name)
-    if match:
-        k = int(match.group(1))
-        return ZooEntry(
-            name=name,
-            machine=build_l_p1ca(k),
-            problem="lang-L",
-            claimed_bounds=ClaimedBounds(_ONE, Fraction(1, k), _ZERO),
-            note="one-sided verifier of the two-fragment union language",
-        )
+    for pattern, builder, problem, bounds, note in _FAMILIES:
+        match = re.fullmatch(pattern, name)
+        if match:
+            params = [int(group or 1) for group in match.groups()]
+            return ZooEntry(
+                name=name,
+                machine=builder(*params),
+                problem=problem.format(*params),
+                claimed_bounds=bounds(*params),
+                note=note.format(*params),
+            )
     raise KeyError(f"unknown zoo name {name!r}")
 
 

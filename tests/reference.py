@@ -5,7 +5,8 @@ kernel: every configuration of every step looks its row up with
 ``machine.entries`` and multiplies exact rationals or ring elements.
 They are slow and obviously right, which is what a reference for the
 kernel must be.  The old instance generators are kept here too, so the
-faster ones can be checked for identical lists.
+faster ones can be checked for identical lists, and so is the hand-written
+``lang-L`` table that the zoo now builds from two other machines' tables.
 """
 from __future__ import annotations
 
@@ -16,8 +17,14 @@ from itertools import product
 
 from ocalab import (
     AMP_ONE,
+    LEFT_END,
+    NZ,
+    RIGHT_END,
     SINK,
+    Z,
     Amplitude,
+    CounterMachine,
+    MachineClass,
     MeasurementError,
     SimulationError,
     UnitarityReport,
@@ -266,3 +273,66 @@ def ref_gen_L(n):
     for symbols in ("ab", "cde"):
         out += [(w, label) for w, label in ref_gen_over(symbols, classify_L, n) if w]
     return out
+
+
+# ---------------------------------------------------------------------------
+# The lang-L machine as it was written out by hand.
+# ---------------------------------------------------------------------------
+
+
+def ref_build_l_p1ca(k):
+    kth = Fraction(1, k)
+    one = Fraction(1)
+    states = ["Lstart", "Ca", "Cb", "Cbad", "Cdone"]
+    for letter in "cde":
+        states += [f"E{letter}{i}" for i in range(1, k + 1)]
+    states += ["eqOK", "eqBad", "Lacc"]
+
+    table = {}
+
+    def both(state, symbol, entries):
+        table[(state, symbol, Z)] = entries
+        table[(state, symbol, NZ)] = entries
+
+    both("Lstart", LEFT_END, (("Lstart", 0, one),))
+    both("Lstart", RIGHT_END, (("Lacc", 0, one),))
+    both("Lstart", "a", (("Ca", +1, one),))
+    both("Lstart", "b", (("Cbad", 0, one),))
+    both("Lstart", "c", tuple((f"Ec{i}", i, kth) for i in range(1, k + 1)))
+    both("Lstart", "d", (("eqBad", 0, one),))
+    both("Lstart", "e", (("eqBad", 0, one),))
+
+    both("Ca", "a", (("Ca", +1, one),))
+    both("Ca", "b", (("Cb", -1, one),))
+    both("Ca", RIGHT_END, (("Cbad", 0, one),))
+    table[("Cb", "b", NZ)] = (("Cb", -1, one),)
+    table[("Cb", "b", Z)] = (("Cbad", 0, one),)
+    table[("Cb", "a", Z)] = (("Ca", +1, one),)
+    table[("Cb", "a", NZ)] = (("Cbad", 0, one),)
+    table[("Cb", RIGHT_END, Z)] = (("Cdone", 0, one),)
+    table[("Cb", RIGHT_END, NZ)] = (("Cbad", 0, one),)
+    for symbol in ("a", "b", RIGHT_END):
+        both("Cbad", symbol, (("Cbad", 0, one),))
+
+    for i in range(1, k + 1):
+        both(f"Ec{i}", "c", ((f"Ec{i}", i, one),))
+        both(f"Ec{i}", "d", ((f"Ed{i}", 1 - i, one),))
+        both(f"Ec{i}", "e", ((f"Ee{i}", -1, one),))
+        both(f"Ed{i}", "d", ((f"Ed{i}", 1 - i, one),))
+        both(f"Ed{i}", "e", ((f"Ee{i}", -1, one),))
+        both(f"Ee{i}", "e", ((f"Ee{i}", -1, one),))
+        both(f"Ec{i}", RIGHT_END, (("eqBad", 0, one),))
+        both(f"Ed{i}", RIGHT_END, (("eqBad", 0, one),))
+        table[(f"Ee{i}", RIGHT_END, Z)] = (("eqOK", 0, one),)
+        table[(f"Ee{i}", RIGHT_END, NZ)] = (("eqBad", 0, one),)
+
+    return CounterMachine(
+        name=f"lang-L-p1ca-k{k}",
+        mclass=MachineClass.P1CA,
+        alphabet=("a", "b", "c", "d", "e"),
+        states=tuple(states),
+        initial="Lstart",
+        accepting=frozenset({"Lacc", "Cbad", "eqOK"}),
+        transitions=table,
+        max_step=k,
+    )

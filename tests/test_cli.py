@@ -6,6 +6,7 @@ import pytest
 
 from helpers import u_accept_all, u_branchy
 from ocalab import emit, generate, get_entry, parse_file, sample_run, zoo_names
+from ocalab.adversary import bounds_rule, brute_refute
 from ocalab.cli import EXIT_EXHAUSTED, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from ocalab.kernel import run_word
 
@@ -292,6 +293,37 @@ def test_batch_flags_violated_bounds(tmp_path, capsys):
     assert report is not None and report["problem"] == "eq-star-complement"
 
 
+_SMALL_N = {
+    "xor-eq": 4,
+    "one-none-t1": 8,
+    "one-none-t2": 16,
+    "eq-star": 6,
+    "eq-star-complement": 6,
+    "eq3": 6,
+    "lang-L": 5,
+}
+
+
+@pytest.mark.parametrize(
+    "name, problem",
+    [(name, get_entry(name).problem) for name in zoo_names()]
+    + [("eq-star-p1bca-k3", "eq-star-complement"), ("eq-star-complement-d1ca", "eq-star")],
+)
+def test_batch_flags_bounds_exactly_when_brute_refutes(tmp_path, capsys, name, problem):
+    entry = get_entry(name)
+    n = _SMALL_N[problem]
+    found = brute_refute(entry.machine, problem, n, bounds_rule(entry.claimed_bounds))
+    code, report, captured = run_batch(
+        tmp_path, capsys, "--zoo", name, "--problem", problem, "--max-n", str(n)
+    )
+    assert report is not None
+    if found is None:
+        assert (code, captured.err) == (EXIT_OK, "")
+    else:
+        assert code == EXIT_INVALID
+        assert captured.err.startswith(f"claimed bounds violated for {name}: ")
+
+
 # ---------------------------------------------------------------------------
 # adversary
 # ---------------------------------------------------------------------------
@@ -427,3 +459,12 @@ def test_batch_and_emit_out_of_range_family_parameter(tmp_path, capsys):
     assert not out.exists()
     assert main(["zoo", "emit", "onenone-lv-t0"]) == EXIT_INVALID
     assert "t must be" in capsys.readouterr().err
+
+
+def test_run_refuses_a_huge_family_parameter_at_once(capsys):
+    # The bound is checked before anything is built from t: (2/3)^t would
+    # take gigabits at this t.
+    assert main(["run", "onenone-lv-t1000000000", "--input", "ad"]) == EXIT_INVALID
+    assert capsys.readouterr().err == "onenone-lv-t1000000000: t must be in 1..25\n"
+    assert main(["run", "onenone-lv-t25", "--input", "ad"]) == EXIT_OK
+    capsys.readouterr()

@@ -1,5 +1,6 @@
 """Machine gallery: frozen behaviour probes and registry contracts."""
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from ocalab import (
     EngineError,
     MachineClass,
     as_quantum,
+    build_l_p1ca,
+    emit,
     build_m1,
     build_m2,
     build_onenone_lv_t,
@@ -23,6 +26,7 @@ from ocalab import (
     xoreq_word,
     zoo_names,
 )
+from reference import ref_build_l_p1ca
 
 YES_WORD = xoreq_word(2, 2, 2, 4, 2, 0, 0, 0)
 NO_WORD = xoreq_word(2, 2, 2, 2, 0, 0, 0, 0)
@@ -105,6 +109,49 @@ def test_state_counts_frozen():
     }
     for name, expected in counts.items():
         assert len(get_entry(name).machine.states) == expected, name
+
+
+def test_readme_zoo_table_matches_the_registry():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = readme.read_text(encoding="utf-8").splitlines()
+    for name in zoo_names():
+        entry = get_entry(name)
+        bounds = entry.claimed_bounds
+        row = (
+            f"| `{name}` | `{entry.machine.mclass.tag}` | `{entry.problem}` | "
+            f"{bounds.accept_on_yes_min} / {bounds.accept_on_no_max} / {bounds.dontknow_max} "
+        )
+        assert any(line.startswith(row) for line in rows), row
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 25])
+def test_shortest_onenone_instance_has_8t_letters(t):
+    problem = get_problem(f"one-none-t{t}")
+    assert next(problem.instances(8 * t - 1), None) is None
+    word, _label = next(problem.instances(8 * t))
+    assert len(word) == 8 * t
+
+
+def test_family_parameters_are_bounded_and_canonical():
+    assert get_entry("onenone-lv-t25").problem == "one-none-t25"
+    with pytest.raises(ValueError, match=r"t must be in 1\.\.25"):
+        get_entry("onenone-lv-t26")
+    with pytest.raises(ValueError, match=r"t must be in 1\.\.25"):
+        build_onenone_lv_t(10**9)
+    for name in ("eq-star-p1bca-k03", "onenone-lv-t007", "lang-L-p1ca-k03"):
+        with pytest.raises(KeyError, match="unknown zoo name"):
+            get_entry(name)
+    for name in ("one-none-t26", "one-none-t1000000", "one-none-t01"):
+        with pytest.raises(EngineError, match="unknown problem"):
+            get_problem(name)
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_lang_L_is_composed_from_its_components(k):
+    machine = build_l_p1ca(k)
+    reference = ref_build_l_p1ca(k)
+    assert machine == reference
+    assert emit(machine) == emit(reference)
 
 
 # ---------------------------------------------------------------------------
