@@ -231,35 +231,25 @@ def _prefix_configs(
     machine: CounterMachine, bound: int
 ) -> list[tuple[tuple[int, int], Config]]:
     """Configurations after cent 0^a # 0^b #, enumerated by (b, a), even a, b."""
-    after_cent = _step_deterministic(machine, (machine.initial, 0), LEFT_END)
-    a_configs: list[tuple[int, Config]] = []
-    config = after_cent
+    config = _step_deterministic(machine, (machine.initial, 0), LEFT_END)
+    starts: list[tuple[int, Config]] = []
     for a in range(1, bound + 1):
         config = _step_deterministic(machine, config, "0")
         if a % 2 == 0:
-            a_configs.append((a, _step_deterministic(machine, config, "#")))
+            starts.append((a, _step_deterministic(machine, config, "#")))
 
-    rows: dict[int, list[tuple[int, Config]]] = {}
-    for a, start in a_configs:
-        row: list[tuple[int, Config]] = []
-        config = start
-        for b in range(1, bound + 1):
-            config = _step_deterministic(machine, config, "0")
-            if b % 2 == 0:
-                row.append((b, _step_deterministic(machine, config, "#")))
-        rows[a] = row
-
+    # Every even-a configuration reads block b together, one 0 at a time.
     out: list[tuple[tuple[int, int], Config]] = []
-    for b in range(2, bound + 1, 2):
-        index = b // 2 - 1
-        for a in range(2, bound + 1, 2):
-            out.append(((a, b), rows[a][index][1]))
+    for b in range(1, bound + 1):
+        starts = [(a, _step_deterministic(machine, config, "0")) for a, config in starts]
+        if b % 2 == 0:
+            out.extend(((a, b), _step_deterministic(machine, config, "#")) for a, config in starts)
     return out
 
 
 def _complete_case_a_differs(
     prefix_1: tuple[int, int], prefix_2: tuple[int, int], search: int
-) -> Optional[tuple[int, int, int, int, int, int]]:
+) -> tuple[int, int, int, int, int, int]:
     (a, b), (a2, b2) = prefix_1, prefix_2
     c = a
     for l1 in range(search + 1):
@@ -270,23 +260,8 @@ def _complete_case_a_differs(
             kdiff = -(b - d + (l1 - l2))
             k1, k2 = (kdiff, 0) if kdiff >= 0 else (0, -kdiff)
             return (c, d, k1, k2, l1, l2)
-    return None
-
-
-def _complete_case_a_equal(
-    prefix_1: tuple[int, int], prefix_2: tuple[int, int], search: int
-) -> Optional[tuple[int, int, int, int, int, int]]:
-    (a, b), (a2, b2) = prefix_1, prefix_2
-    d = b
-    for k1 in range(search + 1):
-        for k2 in range(search + 1):
-            c = (a + a2 + b - b2) // 2 + (k1 - k2)
-            if c < 2 or c % 2 or c == a or c == a2:
-                continue
-            ldiff = -(a - c + (k1 - k2))
-            l1, l2 = (ldiff, 0) if ldiff >= 0 else (0, -ldiff)
-            return (c, d, k1, k2, l1, l2)
-    return None
+    # unreachable: the search window always contains a fit
+    raise SimulationError("no valid suffix found in the search window")
 
 
 def fool_xoreq_d1ca(machine: CounterMachine, n: int = 64) -> FoolingPair:
@@ -324,14 +299,15 @@ def fool_xoreq_d1ca(machine: CounterMachine, n: int = 64) -> FoolingPair:
     prefix_1, prefix_2, config = collision
     if prefix_1[0] != prefix_2[0]:
         case = "a differs"
-        suffix = _complete_case_a_differs(prefix_1, prefix_2, 2 * bound)
+        c, d, k1, k2, l1, l2 = _complete_case_a_differs(prefix_1, prefix_2, 2 * bound)
     else:
+        # The mirror image: complete the prefixes read as (b, a), which
+        # swaps the roles of (a, c, k) and (b, d, l), and swap back.
         case = "a equal"
-        suffix = _complete_case_a_equal(prefix_1, prefix_2, 2 * bound)
-    if suffix is None:  # unreachable: the search window always contains a fit
-        raise SimulationError("no valid suffix found in the search window")
-
-    c, d, k1, k2, l1, l2 = suffix
+        d, c, l1, l2, k1, k2 = _complete_case_a_differs(
+            prefix_1[::-1], prefix_2[::-1], 2 * bound
+        )
+    suffix = (c, d, k1, k2, l1, l2)
     word_yes = xoreq_word(prefix_1[0], prefix_1[1], c, d, k1, k2, l1, l2)
     word_no = xoreq_word(prefix_2[0], prefix_2[1], c, d, k1, k2, l1, l2)
 
@@ -376,15 +352,6 @@ class PumpRefutation:
     pump_gap: int
     final_config: Config
     detail: str
-
-
-def _first_block_length(word: str) -> int:
-    length = 0
-    for ch in word:
-        if ch != "a":
-            break
-        length += 1
-    return length
 
 
 def _find_rejecting_path(
@@ -451,7 +418,7 @@ def pump_u1bca(
     else:
         if not classify_eqstar(word):
             raise EngineError("base word must be a member of (a^n b^n)*")
-        n1 = _first_block_length(word)
+        n1 = len(word) - len(word.lstrip("a"))
         if n1 <= n_states:
             raise EngineError("base word's first a-block must exceed the state count")
 
@@ -489,26 +456,15 @@ def pump_u1bca(
     segment = choices[1 + i : 1 + j]
 
     rest_choices = choices[1 + j :]
-    base_final = trail[-1]
-    candidates = []
     for copies in (1, 2):
         pumped_word = "a" * (n1 + copies * gap) + word[n1:]
         pumped_choices = choices[: 1 + j] + segment * copies + rest_choices
-        pumped_trail = _replay(
-            machine, tape_of(pumped_word, machine.alphabet), pumped_choices
-        )
-        candidates.append((pumped_word, pumped_trail[-1]))
-
-    witness = None
-    for pumped_word, final in candidates:
-        state_f, counter_f = final
-        if not (state_f in machine.accepting and counter_f == 0):
-            witness = (pumped_word, final)
+        final = _replay(machine, tape_of(pumped_word, machine.alphabet), pumped_choices)[-1]
+        if not (final[0] in machine.accepting and final[1] == 0):
             break
-    if witness is None:  # unreachable: the two pumped counters cannot both be 0
+    else:  # unreachable: the two pumped counters cannot both be 0
         raise SimulationError("both pumped paths accept; drift analysis violated")
 
-    pumped_word, final = witness
     if classify_eqstar(pumped_word):
         raise SimulationError("pumped word failed oracle self-verification")
     if decide_mode(machine, pumped_word):

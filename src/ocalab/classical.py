@@ -46,8 +46,6 @@ def step(
 ) -> ConfigDistribution:
     """One exact evolution step of the distribution on one tape symbol."""
     _require_classical(machine)
-    if symbol not in machine.tape_symbols:
-        raise SimulationError(f"symbol {symbol!r} is not on this machine's tape")
     return _kernel.step_exact(machine, dist, symbol)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import tee
@@ -78,11 +79,14 @@ def _zoo_entry(name: str, unknown: str, unknown_code: int) -> zoo_mod.ZooEntry:
 
 
 def _load_machine(ref: str) -> tuple[CounterMachine, Optional[zoo_mod.ZooEntry]]:
-    """Resolve a machine reference: a .cma path, or failing that a zoo name."""
-    path = Path(ref)
-    if path.exists():
+    """Resolve a machine reference: a .cma path, or failing that a zoo name.
+
+    A reference the file system cannot look up (too long a name, say)
+    counts as no such file.
+    """
+    if os.path.exists(ref):
         try:
-            text = path.read_text(encoding="utf-8")
+            text = Path(ref).read_text(encoding="utf-8")
         except OSError as exc:
             raise _CliError(f"cannot read {ref}: {exc}", EXIT_IO) from exc
         machine, diagnostics = parse_with_diagnostics(text)
@@ -95,12 +99,11 @@ def _load_machine(ref: str) -> tuple[CounterMachine, Optional[zoo_mod.ZooEntry]]
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    if not path.exists():
+    if not os.path.exists(args.file):
         print(f"{args.file}: no such file", file=sys.stderr)
         return EXIT_IO
     try:
-        text = path.read_text(encoding="utf-8")
+        text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -174,7 +174,7 @@ class Verdict:
             )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CounterMachine:
     """A one-way one-counter machine of any supported class.
 
@@ -215,21 +215,6 @@ class CounterMachine:
     @property
     def tape_symbols(self) -> tuple[Symbol, ...]:
         return self.alphabet + ENDMARKERS
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CounterMachine):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.mclass == other.mclass
-            and self.alphabet == other.alphabet
-            and self.states == other.states
-            and self.initial == other.initial
-            and self.accepting == other.accepting
-            and self.neutral == other.neutral
-            and self.max_step == other.max_step
-            and self.transitions == other.transitions
-        )
 
     def __hash__(self) -> int:
         return hash((self.name, self.mclass, self.alphabet, self.states))
@@ -314,7 +299,6 @@ def validate_machine(machine: CounterMachine, check_unitary: bool = True) -> lis
         out.append(Violation("max-step", f"max_step must be >= 1, got {machine.max_step}"))
 
     tape = symbols | set(ENDMARKERS)
-    structurally_ok = not out
 
     for key in sorted(machine.transitions):
         state, symbol, status = key
@@ -387,7 +371,7 @@ def validate_machine(machine: CounterMachine, check_unitary: bool = True) -> lis
                     )
                 )
 
-    if machine.mclass.quantum and check_unitary and structurally_ok and not out:
+    if machine.mclass.quantum and check_unitary and not out:
         from .quantum import check_unitarity
 
         report = check_unitarity(machine)

@@ -738,6 +738,8 @@ def step_exact(machine: CounterMachine, dist: Mapping[tuple[str, int], object], 
     machine's total lookup as it always has; the step itself runs
     through :func:`propagate`.
     """
+    if symbol not in machine.tape_symbols:
+        raise SimulationError(f"symbol {symbol!r} is not on this machine's tape")
     kernel = compiled(machine)
     values, den = from_exact(kernel, dist)
     names, size = kernel.names, kernel.size

@@ -202,6 +202,29 @@ def det_blockb():
     )
 
 
+def det_a5b():
+    """Counter a + 5b after cent 0^a # 0^b #: no collision among prefixes up to 8."""
+    return mk(
+        "det-a5b",
+        "d1ca",
+        "0#",
+        ("e", "o"),
+        "e",
+        ("e",),
+        [
+            ("e", L, "*", [("e", 0, F(1))]),
+            ("o", L, "*", [("o", 0, F(1))]),
+            ("e", "0", "*", [("e", 1, F(1))]),
+            ("o", "0", "*", [("o", 5, F(1))]),
+            ("e", "#", "*", [("o", 0, F(1))]),
+            ("o", "#", "*", [("e", 0, F(1))]),
+            ("e", R, "*", [("e", 0, F(1))]),
+            ("o", R, "*", [("o", 0, F(1))]),
+        ],
+        max_step=5,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Universal blind machines over {a, b} with over-claimed languages.
 # ---------------------------------------------------------------------------

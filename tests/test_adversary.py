@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     F,
+    det_a5b,
     det_blockb,
     det_const,
     det_count0,
@@ -47,6 +48,7 @@ from ocalab.adversary import (
     sigma_partition,
     threshold_rule,
 )
+from ocalab.zoo import build_m1, build_m2
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +150,74 @@ def test_fooling_pair_word_for_m1_frozen(m1):
     assert pair.word_no == "00#0000#0000#00#000###0"
 
 
+SHORT_PAIR = ("00#00#00#0000##0#000#", "0000#00#00#0000##0#000#")
+M1_PAIR = ("00#00#0000#00#000###0", "00#0000#0000#00#000###0")
+
+
+def _pair(words, prefixes, collision, case, suffix, accepts):
+    return FoolingPair(
+        word_yes=words[0],
+        word_no=words[1],
+        prefix_yes=prefixes[0],
+        prefix_no=prefixes[1],
+        collision=collision,
+        case=case,
+        suffix=suffix,
+        machine_accepts=accepts,
+    )
+
+
+def test_whole_fooling_pairs_frozen(m1, m2):
+    a_equal = ((2, 2), (2, 4))
+    a_differs = ((2, 2), (4, 2))
+    expected = [
+        (m1, _pair(M1_PAIR, a_equal, ("q3", 2), "a equal", (4, 2, 3, 0, 0, 1), False)),
+        (m2, _pair(SHORT_PAIR, a_differs, ("q3", 2), "a differs", (2, 4, 0, 1, 3, 0), False)),
+        (
+            build_m1(primed=True),
+            _pair(M1_PAIR, a_equal, ("p3", 2), "a equal", (4, 2, 3, 0, 0, 1), True),
+        ),
+        (
+            build_m2(primed=True),
+            _pair(SHORT_PAIR, a_differs, ("p3", 2), "a differs", (2, 4, 0, 1, 3, 0), True),
+        ),
+        (det_const(), _pair(SHORT_PAIR, a_differs, ("s", 0), "a differs", (2, 4, 0, 1, 3, 0), True)),
+        (
+            det_count0(),
+            _pair(
+                ("0000#00#0000#000000#00##00#", "00#0000#0000#000000#00##00#"),
+                ((4, 2), (2, 4)),
+                ("s", 6),
+                "a differs",
+                (4, 6, 2, 0, 2, 0),
+                True,
+            ),
+        ),
+        (det_parity(), _pair(SHORT_PAIR, a_differs, ("p0", 0), "a differs", (2, 4, 0, 1, 3, 0), False)),
+        (det_blockb(), _pair(SHORT_PAIR, a_differs, ("e", 2), "a differs", (2, 4, 0, 1, 3, 0), False)),
+    ]
+    for machine, pair in expected:
+        assert fool_xoreq_d1ca(machine) == pair, machine.name
+
+
+def test_fooling_doubles_the_prefix_bound_past_eight():
+    # The counter after cent 0^a # 0^b # is a + 5b: no two even prefixes
+    # up to 8 collide, so the bound must double to 16.
+    machine = det_a5b()
+    assert fool_xoreq_d1ca(machine) == FoolingPair(
+        word_yes="000000000000#00#000000000000#00000000#000000###",
+        word_no="00#0000#000000000000#00000000#000000###",
+        prefix_yes=(12, 2),
+        prefix_no=(2, 4),
+        collision=("e", 22),
+        case="a differs",
+        suffix=(12, 8, 6, 0, 0, 0),
+        machine_accepts=False,
+    )
+    with pytest.raises(SimulationError, match="up to 8"):
+        fool_xoreq_d1ca(machine, n=8)
+
+
 def test_fooling_needs_deterministic_machine(onenone):
     with pytest.raises(EngineError, match="deterministic"):
         fool_xoreq_d1ca(onenone)
@@ -192,6 +262,32 @@ def test_pump_pumped_reject_cases():
     assert (ref2.base_word, ref2.witness_word) == ("aabb", "aaabb")
     assert ref2.pump_gap == 1
     assert ref2.final_config == ("s", 0)
+
+
+PUMP_DETAIL = (
+    "a rejecting path pumped through the first-block cycle rejects "
+    "a member of the complement of (a^n b^n)*"
+)
+
+
+def test_whole_pump_refutations_frozen():
+    expected = [
+        (u_branchy(), None, "aaabbb", ("t", 3)),
+        (u_branchy(), "aaaabbbb", "aaaabbbb", ("t", 4)),
+        (u_reject_all(), None, "aabb", ("s", 0)),
+        (u_reject_all(), "aaaabbbb", "aaaabbbb", ("s", 0)),
+    ]
+    for machine, word, base, final in expected:
+        ref = pump_u1bca(machine) if word is None else pump_u1bca(machine, word)
+        assert ref == PumpRefutation(
+            kind="pumped-reject",
+            base_word=base,
+            witness_word="a" + base,
+            repeated_state="s",
+            pump_gap=1,
+            final_config=final,
+            detail=PUMP_DETAIL,
+        ), (machine.name, word)
 
 
 def test_pump_witnesses_refute_universal_acceptance():
@@ -273,6 +369,15 @@ def test_lv_rule():
     assert rule("no", v(F(1, 3), 0, F(2, 3))) == (
         "accept probability 1/3 on a no-instance"
     )
+
+
+def test_lv_and_bounds_rules_word_a_yes_instance_rejection_apart():
+    from ocalab import get_entry
+
+    verdict = v(0, F(1, 3), F(2, 3))
+    assert lv_rule()("yes", verdict) == "reject probability 1/3 on a yes-instance"
+    rule = bounds_rule(get_entry("onenone-lv").claimed_bounds, las_vegas=True)
+    assert rule("yes", verdict) == "accept 0 below claimed yes-bound 1/3"
 
 
 def test_bounds_rule(onenone, eqstar_k3):

@@ -468,3 +468,67 @@ def test_run_refuses_a_huge_family_parameter_at_once(capsys):
     assert capsys.readouterr().err == "onenone-lv-t1000000000: t must be in 1..25\n"
     assert main(["run", "onenone-lv-t25", "--input", "ad"]) == EXIT_OK
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# References the file system cannot look up, and other error paths
+# ---------------------------------------------------------------------------
+
+BROKEN_CMA = (
+    "machine b\nclass p1ca\nalphabet a\nstates s\ninitial s\naccept s\n"
+    "trans s , a , Z -> s , 0 @ 1/2\n"
+)
+
+
+def test_too_long_references_are_no_such_file(tmp_path, capsys):
+    ref = "x" * 300  # past the file-name limit: looking it up raises OSError
+    out = tmp_path / "r.json"
+    for argv in (
+        ["run", ref, "--input", "ad"],
+        ["batch", ref, "--problem", "eq3", "--max-n", "2", "--out", str(out)],
+        ["adversary", "brute", ref, "--max-n", "2"],
+    ):
+        assert main(argv) == EXIT_IO, argv[0]
+        assert capsys.readouterr().err == f"{ref}: no such file and no such zoo machine\n"
+    assert main(["validate", ref]) == EXIT_IO
+    assert capsys.readouterr().err == f"{ref}: no such file\n"
+    assert not out.exists()
+
+    # A family name too long to look up still reaches the zoo's own check.
+    name = "onenone-lv-t" + "1" * 5000
+    for argv in (["run", name, "--input", "ad"], ["zoo", "emit", name]):
+        assert main(argv) == EXIT_INVALID, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"{name}: ") and err.count("\n") == 1
+
+
+def test_run_broken_file_prints_its_diagnostics(tmp_path, capsys):
+    path = tmp_path / "broken.cma"
+    path.write_text(BROKEN_CMA, encoding="utf-8")
+    assert main(["run", str(path), "--input", "a"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: [prob-sum]" in captured.err
+
+
+def test_run_and_validate_a_directory_are_io_errors(tmp_path, capsys):
+    assert main(["run", str(tmp_path), "--input", "a"]) == EXIT_IO
+    assert capsys.readouterr().err.startswith(f"cannot read {tmp_path}: ")
+    assert main(["validate", str(tmp_path)]) == EXIT_IO
+    assert capsys.readouterr().err.startswith(f"{tmp_path}: ")
+
+
+def test_batch_stops_on_the_first_foreign_symbol(tmp_path, capsys):
+    path = tmp_path / "m1.cma"
+    path.write_text(emit(get_entry("m1").machine), encoding="utf-8")
+    out = tmp_path / "r.json"
+    code = main(["batch", str(path), "--problem", "eq3", "--max-n", "2", "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert "is not in the machine alphabet" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_sample_on_a_foreign_symbol_is_a_usage_error(capsys):
+    argv = ["run", "eq-star-p1bca-k3", "--input", "ax", "--sample", "--seed", "1"]
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err == "input symbol 'x' is not in the machine alphabet\n"

@@ -1,6 +1,8 @@
 """The compiled integer kernel against the direct Fraction/Amplitude reference."""
 import dataclasses
 import functools
+import importlib
+import inspect
 import tracemalloc
 
 import pytest
@@ -450,6 +452,36 @@ def test_a_step_reads_rows_through_entries(monkeypatch):
     after = step(machine, dist, tape[4])
     assert len(lookups) == len(dist)
     assert after == ref_distributions(machine, "ccddee")[4]
+
+
+# The functions whose spans the benchmark's per-layer metrics read.  Its
+# tracer wraps only plain functions of the module that defines them, so a
+# decorated function, or one moved into another module, would read 0.
+TRACED = (
+    "classical.step",
+    "classical.verdict_of",
+    "quantum.evolve",
+    "quantum.measure",
+    "quantum.check_unitarity",
+    "core.tape_of",
+    "core.validate_machine",
+    "dsl.parse_with_diagnostics",
+    "dsl.emit",
+    "problems.generate",
+    "zoo.get_entry",
+    "adversary.brute_refute",
+    "cli._cmd_batch",
+)
+
+
+def test_traced_functions_stay_plain_functions_of_their_module():
+    for dotted in TRACED:
+        module_name, name = dotted.split(".")
+        module = importlib.import_module(f"ocalab.{module_name}")
+        function = vars(module)[name]
+        assert inspect.isfunction(function), dotted
+        assert function.__module__ == module.__name__, dotted
+        assert function.__code__.co_name == name, dotted  # not a wrapper
 
 
 # ---------------------------------------------------------------------------
