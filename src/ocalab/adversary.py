@@ -18,6 +18,7 @@ Three constructive attacks plus an empirical scanner:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import tee
@@ -565,12 +566,7 @@ def bounds_rule(bounds: ClaimedBounds, las_vegas: bool = False) -> Rule:
     The rule is :meth:`ClaimedBounds.violation`, the check ``ocalab batch``
     makes too.
     """
-    violation = bounds.violation
-
-    def rule(label: str, verdict: Verdict) -> Optional[str]:
-        return violation(label, verdict, las_vegas)
-
-    return rule
+    return functools.partial(bounds.violation, las_vegas=las_vegas)
 
 
 def default_rule(machine: CounterMachine) -> Rule:

@@ -100,13 +100,11 @@ def _load_machine(ref: str) -> tuple[CounterMachine, Optional[zoo_mod.ZooEntry]]
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     if not os.path.exists(args.file):
-        print(f"{args.file}: no such file", file=sys.stderr)
-        return EXIT_IO
+        raise _CliError(f"{args.file}: no such file", EXIT_IO)
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _CliError(f"{args.file}: {exc}", EXIT_IO) from exc
     machine, diagnostics = parse_with_diagnostics(text)
     if machine is None:
         for diagnostic in diagnostics:
@@ -237,19 +235,13 @@ def _no_instances(problem_name: str, max_n: int) -> _CliError:
 def _cmd_adversary(args: argparse.Namespace) -> int:
     machine, entry = _load_machine(args.file)
     try:
-        if args.op == "fool-xoreq":
-            pair = adversary_mod.fool_xoreq_d1ca(machine, n=args.max_n or 64)
-            payload = dataclasses.asdict(pair)
-            payload["collision"] = list(payload["collision"])
-            payload["machine"] = machine.name
-            _print_json(payload)
-            return EXIT_OK
-        if args.op == "pump-u1bca":
-            refutation = adversary_mod.pump_u1bca(machine)
-            payload = dataclasses.asdict(refutation)
-            payload["final_config"] = list(payload["final_config"])
-            payload["machine"] = machine.name
-            _print_json(payload)
+        if args.op in ("fool-xoreq", "pump-u1bca"):
+            if args.op == "fool-xoreq":
+                n = 64 if args.max_n is None else args.max_n
+                found = adversary_mod.fool_xoreq_d1ca(machine, n=n)
+            else:
+                found = adversary_mod.pump_u1bca(machine)
+            _print_json({**dataclasses.asdict(found), "machine": machine.name})
             return EXIT_OK
         # brute
         problem_name = args.problem or (entry.problem if entry else None)

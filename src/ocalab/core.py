@@ -248,16 +248,17 @@ def _check_weight_type(machine: CounterMachine, entry: TransEntry) -> str | None
     return None
 
 
-def validate_machine(machine: CounterMachine, check_unitary: bool = True) -> list[Violation]:
+def validate_machine(machine: CounterMachine) -> list[Violation]:
     """Check well-formedness; returns a list of violations (empty == valid).
 
     Structural checks cover state/symbol membership, counter step bounds,
     per-key weight discipline (single weight-1 branch for deterministic
     classes, exact sum 1 for probabilistic ones), blindness (identical rows
     on both statuses) and the accepting/neutral state sets.  For quantum
-    machines, if the table is otherwise sound and ``check_unitary`` is set,
-    the per-symbol evolution operators are additionally checked to be
-    unitary on a window of counter values wide enough to be conclusive.
+    machines, if the table is otherwise sound, the per-symbol evolution
+    operators are additionally checked to be unitary on a window of counter
+    values wide enough to be conclusive; a window too large to build is one
+    violation.
     """
     out: list[Violation] = []
     states = set(machine.states)
@@ -371,19 +372,20 @@ def validate_machine(machine: CounterMachine, check_unitary: bool = True) -> lis
                     )
                 )
 
-    if machine.mclass.quantum and check_unitary and not out:
+    if machine.mclass.quantum and not out:
         from .quantum import check_unitarity
 
-        report = check_unitarity(machine)
-        for viol in report.as_violations():
-            out.append(viol)
+        try:
+            out.extend(check_unitarity(machine).as_violations())
+        except SimulationError as exc:
+            out.append(Violation("unitarity-window", str(exc)))
 
     return out
 
 
-def require_valid(machine: CounterMachine, check_unitary: bool = True) -> None:
+def require_valid(machine: CounterMachine) -> None:
     """Raise :class:`SimulationError` if the machine is not well formed."""
-    violations = validate_machine(machine, check_unitary=check_unitary)
+    violations = validate_machine(machine)
     if violations:
         summary = "; ".join(str(v) for v in violations[:5])
         if len(violations) > 5:

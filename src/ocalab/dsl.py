@@ -402,24 +402,18 @@ def parse_with_diagnostics(
             if not weight_toks:
                 err(toks[10], "'@' with no weight")
                 continue
-            if mclass.quantum:
-                try:
+            try:
+                if mclass.quantum:
                     weight = _parse_amplitude(weight_toks)
-                except _AmpError as exc:
-                    err(exc.tok, exc.message)
-                    continue
-            else:
-                if len(weight_toks) != 1:
-                    err(weight_toks[1], "classical weight must be a single rational")
-                    continue
-                try:
-                    weight = Fraction(weight_toks[0].text)
-                except (ValueError, ZeroDivisionError):
-                    err(weight_toks[0], f"malformed rational {weight_toks[0].text!r}")
-                    continue
-                if weight < 0 or weight > 1:
-                    err(weight_toks[0], f"weight {weight} outside [0,1]")
-                    continue
+                elif len(weight_toks) != 1:
+                    raise _AmpError("classical weight must be a single rational", weight_toks[1])
+                else:
+                    weight = _parse_rational(weight_toks[0])
+                    if weight < 0 or weight > 1:
+                        raise _AmpError(f"weight {weight} outside [0,1]", weight_toks[0])
+            except _AmpError as exc:
+                err(exc.tok, exc.message)
+                continue
 
         if src is None or dst is None or sym is None:
             continue
@@ -542,18 +536,11 @@ def emit(machine: CounterMachine) -> str:
             if z_row is None and nz_row is None:
                 continue
             sym_tok = _symbol_token(sym)
-            if z_row == nz_row:
-                for dst, delta, weight in z_row:
+            rows = (("*", z_row),) if z_row == nz_row else ((Z, z_row), (NZ, nz_row))
+            for status, row in rows:
+                for dst, delta, weight in row or ():
                     out.append(
-                        f"trans {state} , {sym_tok} , * -> {dst} , {delta}{weight_text(weight)}"
+                        f"trans {state} , {sym_tok} , {status} -> "
+                        f"{dst} , {delta}{weight_text(weight)}"
                     )
-            else:
-                for status, row in ((Z, z_row), (NZ, nz_row)):
-                    if row is None:
-                        continue
-                    for dst, delta, weight in row:
-                        out.append(
-                            f"trans {state} , {sym_tok} , {status} -> "
-                            f"{dst} , {delta}{weight_text(weight)}"
-                        )
     return "\n".join(out) + "\n"

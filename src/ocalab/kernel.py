@@ -568,14 +568,14 @@ def outcome_sums(kernel: Kernel, items: Iterable[tuple[int, object]]) -> tuple[i
     the rational and sqrt2 parts of the total norm, then of the accepting
     norm.
     """
-    size, kinds, blind = kernel.size, kernel.kinds, kernel.blind
     if kernel.rows is not None:
         sums = [0, 0, 0]
         for state, (shift, counts) in items:
             zero = counts.get(-shift, 0)
             sums[REJECT] += sum(counts.values()) - zero
-            sums[kinds[state]] += zero
+            sums[kernel.kinds[state]] += zero
         return tuple(sums)
+    kind = kernel.kind
     if kernel.quantum:
         total_rat = total_s2 = accept_rat = accept_s2 = 0
         for config, (a, b, c, d) in items:
@@ -583,14 +583,13 @@ def outcome_sums(kernel: Kernel, items: Iterable[tuple[int, object]]) -> tuple[i
             s2 = 2 * (a * b + c * d)
             total_rat += rat
             total_s2 += s2
-            if kinds[config % size] == ACCEPT:
+            if kind(config) == ACCEPT:
                 accept_rat += rat
                 accept_s2 += s2
         return total_rat, total_s2, accept_rat, accept_s2
     sums = [0, 0, 0]
     for config, mass in items:
-        state = config % size
-        sums[REJECT if blind and config != state else kinds[state]] += mass
+        sums[kind(config)] += mass
     return tuple(sums)
 
 

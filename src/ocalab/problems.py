@@ -15,6 +15,7 @@ rather than the set of all strings.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from itertools import product
@@ -132,7 +133,11 @@ def _gen_xoreq(n: int) -> Iterator[Instance]:
 # ---------------------------------------------------------------------------
 
 
-def _pair_equalities(u: str) -> int:
+def _pair_equalities(u: str) -> int | None:
+    """How many of the three symbol-count pairs of ``u`` are equal; None
+    when ``u`` has a letter outside {a,b,c}."""
+    if set(u) - {"a", "b", "c"}:
+        return None
     counts = (u.count("a"), u.count("b"), u.count("c"))
     return sum(
         counts[i] == counts[j] for i, j in ((0, 1), (1, 2), (2, 0))
@@ -141,15 +146,11 @@ def _pair_equalities(u: str) -> int:
 
 def classify_one(u: str) -> bool:
     """Exactly one of the three unordered symbol-count pairs is equal."""
-    if set(u) - {"a", "b", "c"}:
-        return False
     return _pair_equalities(u) == 1
 
 
 def classify_none(u: str) -> bool:
     """No two of the three symbol counts are equal."""
-    if set(u) - {"a", "b", "c"}:
-        return False
     return _pair_equalities(u) == 0
 
 
@@ -190,17 +191,18 @@ def classify_onenone_t(word: str, t: int) -> str:
 
 
 def _strings_over(symbols: str, max_len: int) -> Iterator[str]:
-    for length in range(max_len + 1):
+    """The nonempty words over ``symbols`` up to ``max_len``, shortest first."""
+    for length in range(1, max_len + 1):
         for tup in product(symbols, repeat=length):
             yield "".join(tup)
 
 
 def _one_vocab(max_len: int) -> list[str]:
-    return [u for u in _strings_over("abc", max_len) if u and classify_one(u)]
+    return [u for u in _strings_over("abc", max_len) if classify_one(u)]
 
 
 def _none_vocab(max_len: int) -> list[str]:
-    return [u for u in _strings_over("abc", max_len) if u and classify_none(u)]
+    return [u for u in _strings_over("abc", max_len) if classify_none(u)]
 
 
 # Per-t enumeration vocabularies.  The instance count for the full
@@ -215,18 +217,13 @@ def _canonical_none_reps() -> list[str]:
     return sorted(reps.values())
 
 
-_ONENONE_VOCAB: dict[int, tuple[list[str], list[str]]] = {}
-
-
+@functools.cache
 def _onenone_vocab(t: int) -> tuple[list[str], list[str]]:
-    if t not in _ONENONE_VOCAB:
-        if t == 1:
-            _ONENONE_VOCAB[t] = (_one_vocab(4), _none_vocab(4))
-        elif t == 2:
-            _ONENONE_VOCAB[t] = (_one_vocab(2), _none_vocab(3))
-        else:
-            _ONENONE_VOCAB[t] = (_one_vocab(1), _canonical_none_reps())
-    return _ONENONE_VOCAB[t]
+    if t == 1:
+        return _one_vocab(4), _none_vocab(4)
+    if t == 2:
+        return _one_vocab(2), _none_vocab(3)
+    return _one_vocab(1), _canonical_none_reps()
 
 
 def _blocks_within(vocabs: list[list[str]], budget: int) -> Iterator[tuple[str, ...]]:
@@ -312,35 +309,27 @@ def classify_L(word: str) -> bool:
     return False
 
 
-def _bool_problem(classify: Callable[[str], bool]) -> Callable[[str], str]:
-    def wrapped(word: str) -> str:
-        return YES if classify(word) else NO
-
-    return wrapped
-
-
-def _gen_L(n: int) -> Iterator[Instance]:
-    """Empty string plus both pure-alphabet fragments up to length n."""
-    yield "", YES
-    for symbols in ("ab", "cde"):
-        for w in _strings_over(symbols, n):
-            if w:
-                yield w, YES if classify_L(w) else NO
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
 
-def _word_problem(name: str, symbols: str, classify: Callable[[str], bool]) -> PromiseProblem:
-    """Every word over ``symbols`` up to the bound, labelled by ``classify``."""
+def _word_problem(
+    name: str, fragments: tuple[str, ...], member: Callable[[str], bool]
+) -> PromiseProblem:
+    """The empty word, then every word over each fragment's symbols in turn
+    up to the bound, labelled by ``member``."""
+
+    def classify(word: str) -> str:
+        return YES if member(word) else NO
 
     def stream(n: int) -> Iterator[Instance]:
-        for w in _strings_over(symbols, n):
-            yield w, YES if classify(w) else NO
+        yield "", classify("")
+        for symbols in fragments:
+            for w in _strings_over(symbols, n):
+                yield w, YES if member(w) else NO
 
-    return PromiseProblem(name, tuple(symbols), _bool_problem(classify), stream, WORD_CEILING)
+    return PromiseProblem(name, tuple("".join(fragments)), classify, stream, WORD_CEILING)
 
 
 def _onenone_problem(t: int) -> PromiseProblem:
@@ -357,10 +346,10 @@ _PROBLEMS = {
     problem.name: problem
     for problem in (
         PromiseProblem("xor-eq", XOREQ_ALPHABET, classify_xoreq, _gen_xoreq),
-        _word_problem("eq-star", "ab", classify_eqstar),
-        _word_problem("eq-star-complement", "ab", classify_eqstar_complement),
-        _word_problem("eq3", "cde", classify_eq3),
-        PromiseProblem("lang-L", tuple("abcde"), _bool_problem(classify_L), _gen_L, WORD_CEILING),
+        _word_problem("eq-star", ("ab",), classify_eqstar),
+        _word_problem("eq-star-complement", ("ab",), classify_eqstar_complement),
+        _word_problem("eq3", ("cde",), classify_eq3),
+        _word_problem("lang-L", ("ab", "cde"), classify_L),
         *(_onenone_problem(t) for t in range(1, ONENONE_T_MAX + 1)),
     )
 }

@@ -31,6 +31,11 @@ from .kernel import MeasurementError  # noqa: F401  (part of this module's inter
 Config = tuple[str, int]
 StateVector = dict[Config, Amplitude]
 
+# Most source columns check_unitarity builds (states x (6·max_step + 1)):
+# about 30 times xoreq-q1ca's.  The 157,514 of build_xoreq_q1ca(25) took
+# 12 s and 140 MB on a 2-vCPU Xeon.
+_MAX_WINDOW = 200_000
+
 
 def _require_quantum(machine: CounterMachine) -> None:
     if machine.mclass is not MachineClass.Q1CA:
@@ -190,15 +195,21 @@ def check_unitarity(machine: CounterMachine) -> UnitarityReport:
     that rows over the window see all of their mass.  The implicit sink
     state takes part like any other state.  Columns come from the
     compiled rows, weights over the symbol's denominator ``den``, so a
-    normalised column has integer norm ``den**2``.
+    normalised column has integer norm ``den**2``.  A window of more than
+    ``_MAX_WINDOW`` columns raises :class:`SimulationError`.
     """
     _require_quantum(machine)
-    kernel = _kernel.compiled(machine)
-    size = kernel.size
     m = machine.max_step
     states = list(machine.states)
     if SINK not in states:
         states.append(SINK)
+    if len(states) * (6 * m + 1) > _MAX_WINDOW:
+        raise SimulationError(
+            f"unitarity window of {len(states)} states x {6 * m + 1} counter values "
+            f"exceeds {_MAX_WINDOW} configurations; lower maxstep"
+        )
+    kernel = _kernel.compiled(machine)
+    size = kernel.size
     ids = [kernel.ids[state] for state in states]
     window = [counter * size + s for s in ids for counter in range(-2 * m, 2 * m + 1)]
     low, high = -2 * m * size, (2 * m + 1) * size

@@ -113,31 +113,31 @@ def _both(
 # on track "p", which inverts the final answer.
 # ---------------------------------------------------------------------------
 
+# Per comparison: its two compared phases, then its two bias phases.
+_LAYOUTS = ((1, 3, 5, 6), (2, 4, 7, 8))
 
-def _build_comparator(name: str, *, use_m2_layout: bool, initial: str) -> CounterMachine:
+
+def _counter_move(layout: tuple[int, ...], phase: int, matched: bool) -> int:
+    """The counter move per 0 read in ``phase``: +1 then -1 on the compared
+    blocks, and -1 then +1 on the bias blocks if ``matched`` (+1 then -1 if not)."""
+    if phase not in layout:
+        return 0
+    sign = -1 if matched else 1
+    return (1, -1, sign, -sign)[layout.index(phase)]
+
+
+def _build_comparator(name: str, layout: tuple[int, ...], primed: bool) -> CounterMachine:
     states = tuple(f"q{i}" for i in range(1, 9)) + tuple(f"p{i}" for i in range(1, 9))
     table: TransTable = {}
-    if use_m2_layout:
-        plus_phase, minus_phase, decide_phase = 2, 4, 4
-        keyed = {7: {"q": -1, "p": +1}, 8: {"q": +1, "p": -1}}
-    else:
-        plus_phase, minus_phase, decide_phase = 1, 3, 3
-        keyed = {5: {"q": -1, "p": +1}, 6: {"q": +1, "p": -1}}
-
     for track in ("q", "p"):
         for phase in range(1, 9):
             state = f"{track}{phase}"
-            if phase == plus_phase:
-                delta = +1
-            elif phase == minus_phase:
-                delta = -1
-            else:
-                delta = keyed.get(phase, {}).get(track, 0)
+            delta = _counter_move(layout, phase, track == "q")
             _both(table, state, "0", ((state, delta, Fraction(1)),))
             _both(table, state, LEFT_END, ((state, 0, Fraction(1)),))
             _both(table, state, RIGHT_END, ((state, 0, Fraction(1)),))
             nxt = 1 if phase == 8 else phase + 1
-            if phase == decide_phase:
+            if phase == layout[1]:
                 flipped = "p" if track == "q" else "q"
                 table[(state, "#", Z)] = ((f"{track}{nxt}", 0, Fraction(1)),)
                 table[(state, "#", NZ)] = ((f"{flipped}{nxt}", 0, Fraction(1)),)
@@ -145,11 +145,11 @@ def _build_comparator(name: str, *, use_m2_layout: bool, initial: str) -> Counte
                 _both(table, state, "#", ((f"{track}{nxt}", 0, Fraction(1)),))
 
     return CounterMachine(
-        name=name,
+        name=f"{name}-primed" if primed else name,
         mclass=MachineClass.D1CA,
         alphabet=("0", "#"),
         states=states,
-        initial=initial,
+        initial="p1" if primed else "q1",
         accepting=frozenset({"q8"}),
         transitions=table,
         max_step=1,
@@ -164,14 +164,12 @@ def build_m1(*, primed: bool = False) -> CounterMachine:
     On promise instances its final counter equals the shared promise
     value, matching :func:`build_m2`.
     """
-    name = "m1-primed" if primed else "m1"
-    return _build_comparator(name, use_m2_layout=False, initial="p1" if primed else "q1")
+    return _build_comparator("m1", _LAYOUTS[0], primed)
 
 
 def build_m2(*, primed: bool = False) -> CounterMachine:
     """Deterministic comparator of 0-blocks 2 and 4 (counter bias: blocks 7-8)."""
-    name = "m2-primed" if primed else "m2"
-    return _build_comparator(name, use_m2_layout=True, initial="p1" if primed else "q1")
+    return _build_comparator("m2", _LAYOUTS[1], primed)
 
 
 def as_quantum(machine: CounterMachine) -> CounterMachine:
@@ -200,14 +198,15 @@ def as_quantum(machine: CounterMachine) -> CounterMachine:
 #
 # Architecture: the left endmarker seeds an equal superposition of two
 # branches (amplitudes ±1/2 over branch × track).  Branch 1's counter
-# accumulates the first comparison's promise quantity, branch 2's the
-# second, so on promise instances both branches reach the right endmarker
-# at the same counter value.  Both branches carry the same two mod-M
-# registers (r for blocks 1/3, l for blocks 2/4); identical bookkeeping on
-# both branches keeps the branches interferable.  Each branch flips its
-# track qubit at its decision # iff its register reads zero, i.e. iff its
-# block pair matched (exactly, whenever unequal compared blocks differ by
-# a non-multiple of M; with even block lengths the first aliased
+# runs M1's counter program and branch 2's runs M2's, so on promise
+# instances both branches reach the right endmarker at the same counter
+# value.  Both branches carry the same two mod-M registers (r for blocks
+# 1/3, l for blocks 2/4); identical bookkeeping on both branches keeps
+# the branches interferable.  Where M1 and M2 read their counter, each
+# branch reads its own register instead, and flips its track qubit at its
+# decision # iff that register reads zero, i.e. iff its block pair
+# matched (exactly, whenever unequal compared blocks differ by a
+# non-multiple of M; with even block lengths the first aliased
 # difference is 2M).  The right endmarker interferes the branches: the
 # accept amplitude is proportional to the difference of the two flip
 # signs, so exactly the XOR of the two equalities is accepted, with
@@ -287,54 +286,30 @@ def build_xoreq_q1ca(modulus: int = 5) -> CounterMachine:
         else:
             _both(table, state, LEFT_END, tuple((t, 0, a) for t, a in row))
 
-    for branch in (1, 2):
+    for branch, layout in enumerate(_LAYOUTS, start=1):
         for track in ("u", "p"):
             for phase in range(1, 9):
                 for r in residues:
                     for l in residues:
                         state = _xoreq_run_state(branch, track, phase, r, l)
+                        matched = (r, l)[branch - 1] == 0
 
                         # '0': registers advance identically on both
-                        # branches; the counter advances on this branch's
-                        # own blocks only.
-                        r2, l2 = r, l
-                        if phase == 1:
-                            r2 = (r + 1) % mod
-                        elif phase == 2:
-                            l2 = (l + 1) % mod
-                        elif phase == 3:
-                            r2 = (r - 1) % mod
-                        elif phase == 4:
-                            l2 = (l - 1) % mod
-                        delta = 0
-                        if branch == 1:
-                            if phase == 1:
-                                delta = +1
-                            elif phase == 3:
-                                delta = -1
-                            elif phase == 5:
-                                delta = +1 if r != 0 else -1
-                            elif phase == 6:
-                                delta = -1 if r != 0 else +1
-                        else:
-                            if phase == 2:
-                                delta = +1
-                            elif phase == 4:
-                                delta = -1
-                            elif phase == 7:
-                                delta = +1 if l != 0 else -1
-                            elif phase == 8:
-                                delta = -1 if l != 0 else +1
+                        # branches; the counter runs this branch's
+                        # comparator program.
+                        r2, l2 = (
+                            (reg + (phase == plus) - (phase == minus)) % mod
+                            for reg, (plus, minus, _, _) in zip((r, l), _LAYOUTS)
+                        )
+                        delta = _counter_move(layout, phase, matched)
                         target = _xoreq_run_state(branch, track, phase, r2, l2)
                         _both(table, state, "0", ((target, delta, AMP_ONE),))
 
                         # '#': advance the phase; at this branch's decision
-                        # boundary, flip the track iff the register is zero
-                        # (i.e. the compared blocks matched).
+                        # boundary, flip the track iff the compared blocks
+                        # matched.
                         nxt = 1 if phase == 8 else phase + 1
-                        flip = (branch == 1 and phase == 3 and r == 0) or (
-                            branch == 2 and phase == 4 and l == 0
-                        )
+                        flip = phase == layout[1] and matched
                         track2 = ("p" if track == "u" else "u") if flip else track
                         target = _xoreq_run_state(branch, track2, nxt, r, l)
                         _both(table, state, "#", ((target, 0, AMP_ONE),))

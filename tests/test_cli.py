@@ -47,6 +47,22 @@ def test_validate_broken_file(tmp_path, capsys):
     assert "error" in out
 
 
+HUGE_WINDOW_CMA = (
+    "machine big\nclass q1ca\nalphabet a\nstates s\ninitial s\naccept s\n"
+    "maxstep 100000000\ntrans s , a , * -> s , 0\n"
+    "trans s , LEND , * -> s , 0\ntrans s , REND , * -> s , 0\n"
+)
+
+
+def test_too_wide_unitarity_window_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "big.cma"
+    path.write_text(HUGE_WINDOW_CMA, encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert "error: [unitarity-window]" in capsys.readouterr().out
+    assert main(["run", str(path), "--input", "a"]) == EXIT_INVALID
+    assert "error: [unitarity-window]" in capsys.readouterr().err
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "no/such/file.cma"]) == EXIT_IO
     assert "no such file" in capsys.readouterr().err
@@ -340,6 +356,27 @@ def test_adversary_fool_xoreq_json(capsys):
     assert payload["machine_accepts"] is False
 
 
+def test_adversary_fool_xoreq_whole_json(capsys):
+    assert main(["adversary", "fool-xoreq", "m1", "--max-n", "16"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "case": "a equal",
+        "collision": ["q3", 2],
+        "machine": "m1",
+        "machine_accepts": False,
+        "prefix_no": [2, 4],
+        "prefix_yes": [2, 2],
+        "suffix": [4, 2, 3, 0, 0, 1],
+        "word_no": "00#0000#0000#00#000###0",
+        "word_yes": "00#00#0000#00#000###0",
+    }
+
+
+def test_adversary_fool_xoreq_max_n_zero_is_a_usage_error(capsys):
+    assert main(["adversary", "fool-xoreq", "m1", "--max-n", "0"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err
+
+
 def test_adversary_fool_xoreq_wrong_class(capsys):
     assert main(["adversary", "fool-xoreq", "onenone-lv"]) == EXIT_INVALID
     assert "deterministic" in capsys.readouterr().err
@@ -358,6 +395,23 @@ def test_adversary_pump_from_file(tmp_path, capsys):
     assert payload["kind"] == "pumped-reject"
     assert payload["witness_word"] == "aaaabbb"
     assert payload["final_config"] == ["t", 3]
+
+
+def test_adversary_pump_whole_json(tmp_path, capsys):
+    path = tmp_path / "u.cma"
+    path.write_text(emit(u_branchy()), encoding="utf-8")
+    assert main(["adversary", "pump-u1bca", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "base_word": "aaabbb",
+        "detail": "a rejecting path pumped through the first-block cycle rejects "
+        "a member of the complement of (a^n b^n)*",
+        "final_config": ["t", 3],
+        "kind": "pumped-reject",
+        "machine": "u-branchy",
+        "pump_gap": 1,
+        "repeated_state": "s",
+        "witness_word": "aaaabbb",
+    }
 
 
 def test_adversary_brute_zoo_machine_survives(capsys):

@@ -220,6 +220,25 @@ def test_diagnostics_weight_problems():
     assert any("malformed rational" in e.message for e in errors)
 
 
+@pytest.mark.parametrize(
+    "mclass, weight, diagnostic",
+    [
+        ("p1ca", "1/2 1/2", "7:32: error: classical weight must be a single rational"),
+        ("p1ca", "1/0", "7:28: error: malformed rational '1/0'"),
+        ("p1ca", "x", "7:28: error: malformed rational 'x'"),
+        ("p1ca", "3/2", "7:28: error: weight 3/2 outside [0,1]"),
+        ("q1ca", "1/2 r2 r2", "7:35: error: stray r2 token"),
+    ],
+)
+def test_diagnostics_weight_texts(mclass, weight, diagnostic):
+    text = (
+        f"machine w\nclass {mclass}\nalphabet a\nstates s\ninitial s\naccept s\n"
+        f"trans s , a , Z -> s , 0 @ {weight}\n"
+    )
+    _, errors = errors_of(text)
+    assert [str(e) for e in errors] == [diagnostic]
+
+
 def test_diagnostics_duplicate_branch_line():
     base = "machine w\nclass n1bca\nalphabet a\nstates s\ninitial s\naccept s\n"
     _, errors = errors_of(

@@ -152,6 +152,13 @@ def test_check_unitarity_requires_quantum(m1):
         check_unitarity(m1)
 
 
+def test_unitarity_window_is_bounded():
+    machine = dataclasses.replace(hadamard2(), max_step=100_000_000)
+    with pytest.raises(SimulationError, match="unitarity window"):
+        check_unitarity(machine)
+    assert [v.code for v in validate_machine(machine)] == ["unitarity-window"]
+
+
 def test_validate_machine_carries_unitarity_codes():
     codes = {v.code for v in validate_machine(hadamard2_broken())}
     assert "unitary-isometry" in codes

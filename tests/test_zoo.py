@@ -1,4 +1,5 @@
 """Machine gallery: frozen behaviour probes and registry contracts."""
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -122,6 +123,36 @@ def test_readme_zoo_table_matches_the_registry():
             f"{bounds.accept_on_yes_min} / {bounds.accept_on_no_max} / {bounds.dontknow_max} "
         )
         assert any(line.startswith(row) for line in rows), row
+
+
+def test_readme_class_table_lists_every_class():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = readme.read_text(encoding="utf-8").splitlines()
+    for mclass in MachineClass:
+        assert any(line.startswith(f"| `{mclass.tag}` ") for line in rows), mclass.tag
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: build_m1(), "5f1ef247219606dc45a4da743ca4f4cff8499a36f4ad3ca9f876d1138ea073be"),
+        (lambda: build_m2(), "aa38b953e4867565d3a20184d81b5615453a06e6422222140e43926411dcb6af"),
+        (lambda: build_m1(primed=True),
+         "d8605e1a6865d17c93f7e88f90dc6c26ff5d420757233553c681286c8adfdcf6"),
+        (lambda: build_m2(primed=True),
+         "1f0ee9767dc46e4777613b74eb4d7c7558fb3a4cc61d08e1ef3bb3ed9e78db7b"),
+        (lambda: build_xoreq_q1ca(3),
+         "a02f40de0bbf5a65578bb77c44e416f63a786fb3c35a09ee44f47e0ee74bb32f"),
+        (lambda: build_xoreq_q1ca(5),
+         "17bd9f8d51318bd8d17207787c69628ed87b3bb1efa8c41c166c0fea33fd360f"),
+        (lambda: build_xoreq_q1ca(7),
+         "a2282229f9a6f9f17ff729de345da91c6a2e8401e674d54e3c5ad541cb375e00"),
+        (lambda: get_entry("onenone-lv").machine,
+         "831c37b7110bce0128c74111337f30cda197671edd90cce64e83cc207651c872"),
+    ],
+)
+def test_emitted_tables_frozen(build, digest):
+    assert hashlib.sha256(emit(build()).encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 25])
