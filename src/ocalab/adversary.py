@@ -272,8 +272,11 @@ def fool_xoreq_d1ca(machine: CounterMachine, n: int = 64) -> FoolingPair:
     configurations quadratically, so two of them collide; the shared
     suffix is then chosen so that one completion satisfies exactly one
     block equality (a yes-instance) and the other none (a no-instance).
-    The prefix bound grows automatically up to the ceiling ``n``.
+    The prefix bound grows automatically up to the ceiling ``n``, which
+    must be at least 4 for there to be two even prefixes.
     """
+    if n < 4:
+        raise SimulationError(f"prefix bound {n} is below 4, the least with two even prefixes")
     _require_deterministic(machine)
     for symbol in ("0", "#"):
         if symbol not in machine.alphabet:
@@ -292,8 +295,7 @@ def fool_xoreq_d1ca(machine: CounterMachine, n: int = 64) -> FoolingPair:
             break
         if bound >= n:
             raise SimulationError(
-                f"no configuration collision among even prefixes up to {n}; "
-                "is this really a finite-state counter machine?"
+                f"no configuration collision among even prefixes up to {n}; raise the bound"
             )
         bound = min(2 * bound, n)
 

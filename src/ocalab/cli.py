@@ -15,10 +15,10 @@ Commands:
   ``batch`` does, when the bound admits no instance.
 - ``zoo <list|emit <name> [--out <file>]>``: stable machine registry.
 
-Exit codes: 0 success, 1 I/O error, 2 validation/usage error (a violated
-claim, and a batch or brute search with no instances, included), 3 search
-exhausted without a finding.  JSON output is deterministic (sorted keys) and all
-probabilities print as exact "p/q" strings.
+Exit codes: 0 success, 1 I/O error, 2 validation/usage error (any library
+``EngineError``, a violated claim, and a batch or brute search with no
+instances, included), 3 search exhausted without a finding.  JSON output is
+deterministic (sorted keys) and all probabilities print as exact "p/q" strings.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from . import adversary as adversary_mod
 from . import zoo as zoo_mod
 from .classical import sample_run
 from .core import CounterMachine, EngineError, Verdict
-from .dsl import ParseError, emit, parse_with_diagnostics
+from .dsl import emit, parse_with_diagnostics
 from .kernel import run_many, run_word
 from .problems import get_problem
 
@@ -121,17 +121,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise _CliError("--sample supports classical machines only", EXIT_INVALID)
         if args.seed is None:
             raise _CliError("--sample requires an explicit --seed", EXIT_INVALID)
-        try:
-            outcome = sample_run(machine, args.input, seed=args.seed)
-        except EngineError as exc:
-            raise _CliError(str(exc), EXIT_INVALID) from exc
-        print(outcome)
+        print(sample_run(machine, args.input, seed=args.seed))
         return EXIT_OK
-    try:
-        verdict = run_word(machine, args.input)
-    except EngineError as exc:
-        raise _CliError(str(exc), EXIT_INVALID) from exc
-    fields = _verdict_fields(verdict)
+    fields = _verdict_fields(run_word(machine, args.input))
     print(f"accept={fields['accept']} reject={fields['reject']} dontknow={fields['dontknow']}")
     return EXIT_OK
 
@@ -149,15 +141,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     problem_name = args.problem or (entry.problem if entry else None)
     if problem_name is None:
         raise _CliError("--problem is required for file machines", EXIT_INVALID)
-    try:
-        problem = get_problem(problem_name)
-    except (KeyError, EngineError) as exc:
-        raise _CliError(f"unknown problem {problem_name!r}", EXIT_INVALID) from exc
-
-    try:
-        instances, words = tee(problem.instances(args.max_n))
-    except (ValueError, EngineError) as exc:
-        raise _CliError(str(exc), EXIT_INVALID) from exc
+    instances, words = tee(get_problem(problem_name).instances(args.max_n))
 
     bounds = None if entry is None else entry.claimed_bounds
     violated = False
@@ -170,24 +154,21 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     # each distinct (verdict, label) is formatted and summarised once: a
     # repeat cannot move the strict minimum or maximum.
     seen: dict[tuple[int, str], tuple[Verdict, dict[str, str]]] = {}
-    try:
-        for (word, label), verdict in zip(instances, run_many(machine, (w for w, _ in words))):
-            hit = seen.get((id(verdict), label))
-            if hit is None:
-                hit = seen[(id(verdict), label)] = (verdict, _verdict_fields(verdict))
-                if bounds is not None and bounds.violation(label, verdict) is not None:
-                    violated = True
-                max_dontknow = max(max_dontknow, verdict.neutral)
-                if label == "yes" and (min_yes is None or verdict.accept < min_yes):
-                    min_yes = verdict.accept
+    for (word, label), verdict in zip(instances, run_many(machine, (w for w, _ in words))):
+        hit = seen.get((id(verdict), label))
+        if hit is None:
+            hit = seen[(id(verdict), label)] = (verdict, _verdict_fields(verdict))
+            if bounds is not None and bounds.violation(label, verdict) is not None:
+                violated = True
+            max_dontknow = max(max_dontknow, verdict.neutral)
+            if label == "yes" and (min_yes is None or verdict.accept < min_yes):
+                min_yes = verdict.accept
+                worst = (word, label)
+            if label == "no" and (max_no is None or verdict.accept > max_no):
+                max_no = verdict.accept
+                if min_yes is None:
                     worst = (word, label)
-                if label == "no" and (max_no is None or verdict.accept > max_no):
-                    max_no = verdict.accept
-                    if min_yes is None:
-                        worst = (word, label)
-            records.append({"input": word, "label": label, **hit[1]})
-    except EngineError as exc:
-        raise _CliError(str(exc), EXIT_INVALID) from exc
+        records.append({"input": word, "label": label, **hit[1]})
     if not records:
         raise _no_instances(problem_name, args.max_n)
 
@@ -206,14 +187,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         "instances": records,
         "summary": summary,
     }
-    out_path = Path(args.out)
-    try:
-        out_path.write_text(
-            json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
-    except OSError as exc:
-        raise _CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
+    _write(args.out, json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
 
     if violated:
         print(
@@ -227,6 +201,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
+
+
 def _no_instances(problem_name: str, max_n: int) -> _CliError:
     """A sweep whose bound admits no instance checks nothing: a usage error."""
     return _CliError(f"no instances of {problem_name} up to --max-n {max_n}", EXIT_INVALID)
@@ -234,46 +215,43 @@ def _no_instances(problem_name: str, max_n: int) -> _CliError:
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
     machine, entry = _load_machine(args.file)
-    try:
-        if args.op in ("fool-xoreq", "pump-u1bca"):
-            if args.op == "fool-xoreq":
-                n = 64 if args.max_n is None else args.max_n
-                found = adversary_mod.fool_xoreq_d1ca(machine, n=n)
-            else:
-                found = adversary_mod.pump_u1bca(machine)
-            _print_json({**dataclasses.asdict(found), "machine": machine.name})
-            return EXIT_OK
-        # brute
-        problem_name = args.problem or (entry.problem if entry else None)
-        if problem_name is None:
-            raise _CliError("brute needs --problem (or a zoo machine)", EXIT_INVALID)
-        if args.max_n is None:
-            raise _CliError("brute needs --max-n", EXIT_INVALID)
-        if next(get_problem(problem_name).instances(args.max_n), None) is None:
-            raise _no_instances(problem_name, args.max_n)
-        rule = None
-        if entry is not None:
-            rule = adversary_mod.bounds_rule(
-                entry.claimed_bounds, las_vegas=machine.mclass.las_vegas
-            )
-        result = adversary_mod.brute_refute(machine, problem_name, args.max_n, rule)
-        if result is None:
-            print(
-                f"no refutation: {machine.name} is consistent with "
-                f"{problem_name} up to {args.max_n}"
-            )
-            return EXIT_EXHAUSTED
-        payload = {
-            "input": result.word,
-            "label": result.label,
-            "reason": result.reason,
-            "machine": machine.name,
-            **_verdict_fields(result.verdict),
-        }
-        _print_json(payload)
+    if args.op in ("fool-xoreq", "pump-u1bca"):
+        if args.op == "fool-xoreq":
+            n = 64 if args.max_n is None else args.max_n
+            found = adversary_mod.fool_xoreq_d1ca(machine, n=n)
+        else:
+            found = adversary_mod.pump_u1bca(machine)
+        _print_json({**dataclasses.asdict(found), "machine": machine.name})
         return EXIT_OK
-    except EngineError as exc:
-        raise _CliError(str(exc), EXIT_INVALID) from exc
+    # brute
+    problem_name = args.problem or (entry.problem if entry else None)
+    if problem_name is None:
+        raise _CliError("brute needs --problem (or a zoo machine)", EXIT_INVALID)
+    if args.max_n is None:
+        raise _CliError("brute needs --max-n", EXIT_INVALID)
+    if next(get_problem(problem_name).instances(args.max_n), None) is None:
+        raise _no_instances(problem_name, args.max_n)
+    rule = None
+    if entry is not None:
+        rule = adversary_mod.bounds_rule(
+            entry.claimed_bounds, las_vegas=machine.mclass.las_vegas
+        )
+    result = adversary_mod.brute_refute(machine, problem_name, args.max_n, rule)
+    if result is None:
+        print(
+            f"no refutation: {machine.name} is consistent with "
+            f"{problem_name} up to {args.max_n}"
+        )
+        return EXIT_EXHAUSTED
+    payload = {
+        "input": result.word,
+        "label": result.label,
+        "reason": result.reason,
+        "machine": machine.name,
+        **_verdict_fields(result.verdict),
+    }
+    _print_json(payload)
+    return EXIT_OK
 
 
 def _cmd_zoo(args: argparse.Namespace) -> int:
@@ -287,10 +265,7 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
     if args.out is None:
         print(text, end="")
     else:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
+        _write(args.out, text)
     return EXIT_OK
 
 
@@ -350,7 +325,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except ParseError as exc:
+    except EngineError as exc:  # the one place a library error becomes exit 2
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
 

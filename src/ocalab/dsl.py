@@ -49,8 +49,7 @@ from .core import (
     validate_machine,
 )
 
-ERROR = "error"
-WARNING = "warning"
+ERROR = "error"  # the only severity: every diagnostic is an error
 
 _SYMBOL_ALIASES = {"LEND": LEFT_END, "REND": RIGHT_END, "HASH": "#"}
 _SYMBOL_NAMES = {v: k for k, v in _SYMBOL_ALIASES.items()}
@@ -83,13 +82,12 @@ class ParseDiagnostic:
 
 
 class ParseError(EngineError):
-    """Raised by :func:`parse` when the text has error diagnostics."""
+    """Raised by :func:`parse` when the text has diagnostics."""
 
     def __init__(self, diagnostics: list[ParseDiagnostic]):
         self.diagnostics = diagnostics
-        errors = [d for d in diagnostics if d.severity == ERROR]
-        head = str(errors[0]) if errors else "parse failed"
-        more = f" (+{len(errors) - 1} more)" if len(errors) > 1 else ""
+        head = str(diagnostics[0]) if diagnostics else "parse failed"
+        more = f" (+{len(diagnostics) - 1} more)" if len(diagnostics) > 1 else ""
         super().__init__(head + more)
 
 
@@ -243,8 +241,8 @@ def parse_with_diagnostics(
 ) -> tuple[CounterMachine | None, list[ParseDiagnostic]]:
     """Parse; always return every diagnostic found.
 
-    The machine is ``None`` whenever any error-severity diagnostic exists,
-    so a non-``None`` machine has already passed
+    The machine is ``None`` whenever there is a diagnostic (every one is
+    an error), so a non-``None`` machine has already passed
     :func:`ocalab.core.validate_machine`.
     """
     diags: list[ParseDiagnostic] = []
@@ -275,15 +273,11 @@ def parse_with_diagnostics(
         else:
             err(head, f"unknown directive {head.text!r}")
 
-    for name in ("machine", "class", "initial"):
-        if name not in single:
+    for name in ("machine", "class", "initial", "states"):
+        if name not in single and not lists.get(name):
             diags.append(
                 ParseDiagnostic(SourceSpan(1, 1, 1), ERROR, f"missing {name!r} directive")
             )
-    if not lists["states"]:
-        diags.append(
-            ParseDiagnostic(SourceSpan(1, 1, 1), ERROR, "missing 'states' directive")
-        )
 
     mclass: MachineClass | None = None
     if "class" in single:
@@ -347,13 +341,6 @@ def parse_with_diagnostics(
     for toks in trans_lines:
         head = toks[0]
         texts = [t.text for t in toks]
-
-        def expect(idx: int, what: str) -> _Tok | None:
-            if idx >= len(toks):
-                err(toks[-1], f"transition line ends early; expected {what}")
-                return None
-            return toks[idx]
-
         # trans q , sym , st -> q2 , delta [@ weight...]
         shape_ok = (
             len(toks) >= 9
@@ -366,10 +353,10 @@ def parse_with_diagnostics(
             err(head, "malformed transition line; expected "
                 "'trans <state> , <sym> , <Z|NZ|*> -> <state> , <delta> [@ <weight>]'")
             continue
-        src_tok, sym_tok, st_tok, dst_tok = toks[1], toks[3], toks[5], toks[7]
-        delta_tok = expect(9, "counter delta")
-        if delta_tok is None:
+        if len(toks) == 9:
+            err(toks[8], "transition line ends early; expected counter delta")
             continue
+        src_tok, sym_tok, st_tok, dst_tok, delta_tok = toks[1], toks[3], toks[5], toks[7], toks[9]
 
         src = state_arg(src_tok)
         dst = state_arg(dst_tok)
@@ -447,7 +434,7 @@ def parse_with_diagnostics(
             row = tuple((dst, delta, w) for dst, delta, w, _ in branches)
         transitions[key] = row
 
-    if any(d.severity == ERROR for d in diags):
+    if diags:
         return None, diags
 
     machine = CounterMachine(
@@ -466,9 +453,7 @@ def parse_with_diagnostics(
     for violation in validate_machine(machine):
         span = key_line.get(violation.key, top) if violation.key else top
         diags.append(ParseDiagnostic(span, ERROR, str(violation)))
-    if any(d.severity == ERROR for d in diags):
-        return None, diags
-    return machine, diags
+    return (None if diags else machine), diags
 
 
 def parse(text: str) -> CounterMachine:
