@@ -22,12 +22,11 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import tee
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .classical import decide_mode, run
 from .core import (
     LEFT_END,
-    NZ,
     RIGHT_END,
     CounterMachine,
     EngineError,
@@ -72,10 +71,30 @@ def _require_deterministic(machine: CounterMachine) -> None:
         )
 
 
+def _require_sigma_run(machine: CounterMachine, symbol: str) -> None:
+    _require_deterministic(machine)
+    if symbol not in machine.tape_symbols:
+        raise SimulationError(f"symbol {symbol!r} is not on this machine's tape")
+
+
+def _row(machine: CounterMachine, config: Config, symbol: str) -> tuple:
+    """The total transition row read at ``config`` on ``symbol``."""
+    return machine.entries(config[0], symbol, status_of(config[1]))
+
+
 def _step_deterministic(machine: CounterMachine, config: Config, symbol: str) -> Config:
-    entries = machine.entries(config[0], symbol, status_of(config[1]))
-    target, delta, _weight = entries[0]
+    target, delta, _weight = _row(machine, config, symbol)[0]
     return (target, config[1] + delta)
+
+
+def _first_repeat(states: Iterable[str]) -> Optional[tuple[int, int]]:
+    """Indices (i, j) of the first state met twice, or None."""
+    first: dict[str, int] = {}
+    for j, state in enumerate(states):
+        if state in first:
+            return first[state], j
+        first[state] = j
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +126,10 @@ def analyze_cycle(machine: CounterMachine, start: Config, symbol: str) -> CycleP
     Raises if the counter reaches zero within 2|Q| steps: then the
     zero/nonzero status interferes and no status-stable cycle is defined.
     """
-    _require_deterministic(machine)
-    if symbol not in machine.tape_symbols:
-        raise SimulationError(f"symbol {symbol!r} is not on this machine's tape")
-    horizon = 2 * len(machine.states)
+    _require_sigma_run(machine, symbol)
     trail: list[Config] = [start]
     config = start
-    for step in range(1, horizon + 1):
+    for step in range(1, 2 * len(machine.states) + 1):
         config = _step_deterministic(machine, config, symbol)
         if config[1] == 0:
             raise SimulationError(
@@ -122,17 +138,10 @@ def analyze_cycle(machine: CounterMachine, start: Config, symbol: str) -> CycleP
             )
         trail.append(config)
 
-    first_index: dict[str, int] = {}
-    entry = period = None
-    for i, (state, _) in enumerate(trail):
-        if state in first_index:
-            entry = first_index[state]
-            period = i - entry
-            break
-        first_index[state] = i
-    if entry is None or period is None:  # unreachable: horizon > #states
+    repeat = _first_repeat(state for state, _ in trail)
+    if repeat is None:  # unreachable: horizon > #states
         raise SimulationError("no state repetition found; horizon too short")
-
+    entry, period = repeat[0], repeat[1] - repeat[0]
     difference = trail[entry + period][1] - trail[entry][1]
     cycle_states = tuple(state for state, _ in trail[entry : entry + period])
 
@@ -167,46 +176,24 @@ class SigmaClass:
 def sigma_partition(machine: CounterMachine, symbol: str) -> tuple[SigmaClass, ...]:
     """Partition the states by which sigma-cycle they eventually reach.
 
-    Computed under the never-zero counter abstraction (status fixed to
-    nonzero), so the per-state map is a plain functional graph; missing
-    rows fall into the sink's self-loop like everywhere else.
+    Each state's class is its :func:`analyze_cycle` reading from a counter
+    too far from zero to reach it within the horizon, so every step sees a
+    nonzero counter; missing rows fall into the sink's self-loop like
+    everywhere else.  A cycle is named from its least state.
     """
-    _require_deterministic(machine)
-    if symbol not in machine.tape_symbols:
-        raise SimulationError(f"symbol {symbol!r} is not on this machine's tape")
-
-    def step(state: str) -> tuple[str, int]:
-        entries = machine.entries(state, symbol, NZ)
-        target, delta, _weight = entries[0]
-        return target, delta
-
-    def find_cycle(state: str) -> tuple[str, ...]:
-        seen: dict[str, int] = {}
-        order: list[str] = []
-        while state not in seen:
-            seen[state] = len(order)
-            order.append(state)
-            state, _ = step(state)
-        cycle = order[seen[state] :]
-        pivot = cycle.index(min(cycle))
-        return tuple(cycle[pivot:] + cycle[:pivot])
-
-    classes: dict[tuple[str, ...], list[str]] = {}
+    _require_sigma_run(machine, symbol)
+    widest = max((abs(d) for row in machine.transitions.values() for _, d, _ in row), default=0)
+    far = 1 + 2 * len(machine.states) * widest
+    classes: dict[tuple[str, ...], tuple[int, list[str]]] = {}
     for state in machine.states:
-        classes.setdefault(find_cycle(state), []).append(state)
-
-    out = []
-    for cycle in sorted(classes):
-        difference = sum(step(state)[1] for state in cycle)
-        out.append(
-            SigmaClass(
-                cycle=cycle,
-                period=len(cycle),
-                difference=difference,
-                members=tuple(classes[cycle]),
-            )
-        )
-    return tuple(out)
+        profile = analyze_cycle(machine, (state, far), symbol)
+        cycle = profile.cycle_states
+        pivot = cycle.index(min(cycle))
+        classes.setdefault(cycle[pivot:] + cycle[:pivot], (profile.difference, []))[1].append(state)
+    return tuple(
+        SigmaClass(cycle=cycle, period=len(cycle), difference=difference, members=tuple(members))
+        for cycle, (difference, members) in sorted(classes.items())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +362,7 @@ def _find_rejecting_path(
             if not (state in machine.accepting and counter == 0):
                 return choices, _replay(machine, tape, choices)
             continue
-        entries = machine.entries(config[0], tape[pos], status_of(config[1]))
+        entries = _row(machine, config, tape[pos])
         for index in range(len(entries) - 1, -1, -1):
             target, delta, _weight = entries[index]
             sys_stack.append(
@@ -390,7 +377,7 @@ def _replay(
     trail = [(machine.initial, 0)]
     config = trail[0]
     for symbol, choice in zip(tape, choices):
-        entries = machine.entries(config[0], symbol, status_of(config[1]))
+        entries = _row(machine, config, symbol)
         if choice >= len(entries):
             raise SimulationError("replayed path left the transition table")
         target, delta, _weight = entries[choice]
@@ -444,17 +431,11 @@ def pump_u1bca(
     choices, trail = found
 
     # trail[1 + j] is the configuration after the left endmarker and j a's.
-    seen: dict[str, int] = {}
-    repeat = None
-    for j in range(n1 + 1):
-        state = trail[1 + j][0]
-        if state in seen:
-            repeat = (seen[state], j, state)
-            break
-        seen[state] = j
+    repeat = _first_repeat(state for state, _ in trail[1 : n1 + 2])
     if repeat is None:  # unreachable: n1 exceeds the state count
         raise SimulationError("no repeated state in the first block")
-    i, j, state = repeat
+    i, j = repeat
+    state = trail[1 + i][0]
     gap = j - i
     segment = choices[1 + i : 1 + j]
 
@@ -549,15 +530,13 @@ def forall_rule() -> Rule:
 
 def lv_rule() -> Rule:
     """Las Vegas soundness: never accept a no-instance or reject a yes-instance."""
+    soundness = ClaimedBounds(Fraction(0), Fraction(1), Fraction(1))  # only its LV checks bind
 
     def rule(label: str, verdict: Verdict) -> Optional[str]:
-        if verdict.accept > 0 and verdict.reject > 0:
-            return "both accept and reject have positive probability"
-        if label == YES and verdict.reject > 0:
-            return f"reject probability {verdict.reject} on a yes-instance"
-        if label == NO and verdict.accept > 0:
+        reason = soundness.violation(label, verdict, las_vegas=True)
+        if reason is None and label == NO and verdict.accept > 0:
             return f"accept probability {verdict.accept} on a no-instance"
-        return None
+        return reason
 
     return rule
 

@@ -15,7 +15,8 @@ Commands:
   ``batch`` does, when the bound admits no instance.
 - ``zoo <list|emit <name> [--out <file>]>``: stable machine registry.
 
-Exit codes: 0 success, 1 I/O error, 2 validation/usage error (any library
+Exit codes: 0 success, 1 I/O error (a reader that closes stdout early
+included, with nothing on stderr), 2 validation/usage error (any library
 ``EngineError``, a violated claim, and a batch or brute search with no
 instances, included), 3 search exhausted without a finding.  JSON output is
 deterministic (sorted keys) and all probabilities print as exact "p/q" strings.
@@ -98,6 +99,13 @@ def _load_machine(ref: str) -> tuple[CounterMachine, Optional[zoo_mod.ZooEntry]]
     return entry.machine, entry
 
 
+def _claim_rule(entry: Optional[zoo_mod.ZooEntry]) -> Optional[adversary_mod.Rule]:
+    """A zoo machine's claim check, Las Vegas soundness included; None for a file."""
+    if entry is None:
+        return None
+    return adversary_mod.bounds_rule(entry.claimed_bounds, las_vegas=entry.machine.mclass.las_vegas)
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     if not os.path.exists(args.file):
         raise _CliError(f"{args.file}: no such file", EXIT_IO)
@@ -143,7 +151,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise _CliError("--problem is required for file machines", EXIT_INVALID)
     instances, words = tee(get_problem(problem_name).instances(args.max_n))
 
-    bounds = None if entry is None else entry.claimed_bounds
+    rule = _claim_rule(entry)
     violated = False
     records = []
     min_yes: Optional[Fraction] = None
@@ -158,7 +166,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         hit = seen.get((id(verdict), label))
         if hit is None:
             hit = seen[(id(verdict), label)] = (verdict, _verdict_fields(verdict))
-            if bounds is not None and bounds.violation(label, verdict) is not None:
+            if rule is not None and rule(label, verdict) is not None:
                 violated = True
             max_dontknow = max(max_dontknow, verdict.neutral)
             if label == "yes" and (min_yes is None or verdict.accept < min_yes):
@@ -231,12 +239,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         raise _CliError("brute needs --max-n", EXIT_INVALID)
     if next(get_problem(problem_name).instances(args.max_n), None) is None:
         raise _no_instances(problem_name, args.max_n)
-    rule = None
-    if entry is not None:
-        rule = adversary_mod.bounds_rule(
-            entry.claimed_bounds, las_vegas=machine.mclass.las_vegas
-        )
-    result = adversary_mod.brute_refute(machine, problem_name, args.max_n, rule)
+    result = adversary_mod.brute_refute(machine, problem_name, args.max_n, _claim_rule(entry))
     if result is None:
         print(
             f"no refutation: {machine.name} is consistent with "
@@ -322,6 +325,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader left early; send the flush at exit to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

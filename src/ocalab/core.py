@@ -279,12 +279,10 @@ def validate_machine(machine: CounterMachine) -> list[Violation]:
         out.append(Violation("states-sink", f"state name {SINK!r} is reserved"))
     if machine.initial not in states:
         out.append(Violation("initial-unknown", f"initial state {machine.initial!r} not in states"))
-    for q in machine.accepting:
-        if q not in states:
-            out.append(Violation("accepting-unknown", f"accepting state {q!r} not in states"))
-    for q in machine.neutral:
-        if q not in states:
-            out.append(Violation("neutral-unknown", f"neutral state {q!r} not in states"))
+    for kind, chosen in (("accepting", machine.accepting), ("neutral", machine.neutral)):
+        for q in chosen:
+            if q not in states:
+                out.append(Violation(f"{kind}-unknown", f"{kind} state {q!r} not in states"))
     if machine.neutral and not machine.mclass.las_vegas:
         out.append(
             Violation(

@@ -252,6 +252,7 @@ def parse_with_diagnostics(
 
     lines = _tokenize(text)
     single: dict[str, _Tok] = {}
+    named: set[str] = set()  # single directives met, well formed or not
     lists: dict[str, list[_Tok]] = {name: [] for name in _LIST_DIRECTIVES}
     trans_lines: list[list[_Tok]] = []
 
@@ -262,6 +263,7 @@ def parse_with_diagnostics(
         if head.text == "trans":
             trans_lines.append(toks)
         elif head.text in _SINGLE_DIRECTIVES:
+            named.add(head.text)
             if head.text in single:
                 err(head, f"duplicate {head.text!r} directive")
             elif len(toks) != 2:
@@ -274,7 +276,7 @@ def parse_with_diagnostics(
             err(head, f"unknown directive {head.text!r}")
 
     for name in ("machine", "class", "initial", "states"):
-        if name not in single and not lists.get(name):
+        if name not in named and not lists.get(name):
             diags.append(
                 ParseDiagnostic(SourceSpan(1, 1, 1), ERROR, f"missing {name!r} directive")
             )

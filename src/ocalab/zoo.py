@@ -427,19 +427,17 @@ def build_onenone_lv() -> CounterMachine:
             table[(state, "d", NZ)] = ((state, away, one),)
             table[(state, "d", Z)] = ((f"{parity}done", 0, one),)
             table[(state, RIGHT_END, Z)] = ((f"{parity}done", 0, one),)
-            # The drain can end exactly at the block boundary; entering the
-            # next block behaves like the parity's done state.
-            next_parity = "e" if parity == "o" else "o"
-            for symbol in "abc":
-                table[(state, symbol, Z)] = split_row(next_parity, symbol)
 
         done = f"{parity}done"
         _both(table, done, "d", ((done, 0, one),))
         _both(table, done, RIGHT_END, ((done, 0, one),))
         _both(table, done, LEFT_END, ((done, 0, one),))
+        # A block entered from the done state, or from a drain that ends
+        # exactly at the block boundary, starts the next parity's split.
         next_parity = "e" if parity == "o" else "o"
-        for symbol in "abc":
-            table[(done, symbol, Z)] = split_row(next_parity, symbol)
+        for state in (f"{drained}_p", f"{drained}_m", done):
+            for symbol in "abc":
+                table[(state, symbol, Z)] = split_row(next_parity, symbol)
 
     for state in ("acc", "rej"):
         for symbol in ("a", "b", "c", "d", LEFT_END, RIGHT_END):

@@ -3,9 +3,13 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     F,
+    L,
+    R,
     det_a5b,
     det_blockb,
     det_const,
@@ -20,6 +24,7 @@ from helpers import (
     mk,
 )
 from ocalab import (
+    SINK,
     EngineError,
     SimulationError,
     Verdict,
@@ -101,6 +106,86 @@ def test_sigma_partition_frozen(complement):
     assert sigma_partition(det_swap(), "a") == (
         SigmaClass(cycle=("s", "t"), period=2, difference=0, members=("s", "t")),
     )
+
+
+@st.composite
+def deterministic_machines(draw):
+    """A valid d1ca or d1bca over {a, b} with 1..5 states, some rows dropped."""
+    tag = draw(st.sampled_from(("d1ca", "d1bca")))
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 5))))
+    max_step = draw(st.integers(1, 3))
+    branch = st.tuples(st.sampled_from(states), st.integers(-max_step, max_step))
+    rows = []
+    for state in states:
+        for symbol in (L, "a", "b", R):
+            for status in ("*",) if tag == "d1bca" else ("Z", "NZ"):
+                if draw(st.integers(0, 5)):  # one row in six falls into the sink
+                    target, delta = draw(branch)
+                    rows.append((state, symbol, status, [(target, delta, F(1))]))
+    return mk("rand", tag, "ab", states, states[0], states[:1], rows, max_step=max_step)
+
+
+def nonzero_cycle(machine, state, symbol):
+    """The sigma-cycle from ``state`` on the nonzero-status functional graph."""
+    order = []
+    while state not in order:
+        order.append(state)
+        state = machine.entries(state, symbol, "NZ")[0][0]
+    return order[order.index(state) :]
+
+
+@settings(max_examples=150, deadline=None)
+@given(deterministic_machines(), st.sampled_from((L, "a", "b", R)))
+def test_sigma_partition_groups_the_analyze_cycle_profiles(machine, symbol):
+    far = 1 + 2 * len(machine.states) * machine.max_step
+    classes = {}
+    for state in machine.states:
+        profile = analyze_cycle(machine, (state, far), symbol)
+        # Independent of analyze_cycle: walk the nonzero-status graph by hand.
+        cycle = nonzero_cycle(machine, state, symbol)
+        assert set(profile.cycle_states) == set(cycle)
+        drift = sum(machine.entries(q, symbol, "NZ")[0][1] for q in cycle)
+        assert profile.difference == drift
+        key = min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+        classes.setdefault(tuple(key), (profile.difference, []))[1].append(state)
+    assert sigma_partition(machine, symbol) == tuple(
+        SigmaClass(cycle=cycle, period=len(cycle), difference=drift, members=tuple(members))
+        for cycle, (drift, members) in sorted(classes.items())
+    )
+
+
+def test_sigma_partition_reads_steps_wider_than_max_step():
+    # A hand-built table need not honour max_step: -5 from s, +3 from t.
+    wide = mk(
+        "wide",
+        "d1ca",
+        "a",
+        ("s", "t", "u"),
+        "s",
+        ("s",),
+        [
+            ("s", "a", "*", [("t", -5, F(1))]),
+            ("t", "a", "*", [("s", 3, F(1))]),
+            ("u", "a", "*", [("s", -4, F(1))]),
+            ("u", R, "*", [("u", 0, F(1))]),
+        ],
+    )
+    assert sigma_partition(wide, "a") == (
+        SigmaClass(cycle=("s", "t"), period=2, difference=-2, members=("s", "t", "u")),
+    )
+    assert sigma_partition(wide, R) == (
+        SigmaClass(cycle=(SINK,), period=1, difference=0, members=("s", "t")),
+        SigmaClass(cycle=("u",), period=1, difference=0, members=("u",)),
+    )
+
+
+def test_sigma_partition_guards_hold_without_states():
+    empty = mk("empty", "d1ca", "a", (), "s", (), [])
+    assert sigma_partition(empty, "a") == ()
+    with pytest.raises(SimulationError, match="not on this machine's tape"):
+        sigma_partition(empty, "z")
+    with pytest.raises(EngineError, match="needs a deterministic machine"):
+        sigma_partition(dataclasses.replace(empty, mclass=u_accept_all().mclass), "a")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, output formats, report files."""
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import u_accept_all, u_branchy
-from ocalab import emit, generate, get_entry, parse_file, sample_run, zoo_names
+import ocalab
+from helpers import F, L, R, mk, u_accept_all, u_branchy
+from ocalab import emit, generate, get_entry, parse_file, sample_run, zoo, zoo_names
 from ocalab.adversary import bounds_rule, brute_refute
 from ocalab.cli import EXIT_EXHAUSTED, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from ocalab.kernel import run_word
@@ -340,6 +345,38 @@ def test_batch_flags_bounds_exactly_when_brute_refutes(tmp_path, capsys, name, p
         assert captured.err.startswith(f"claimed bounds violated for {name}: ")
 
 
+def test_batch_holds_las_vegas_machines_to_soundness_as_brute_does(
+    tmp_path, capsys, monkeypatch
+):
+    # A Las Vegas coin: accept and reject 1/2 each on every word, inside
+    # its numeric bounds but never sound.
+    coin = mk(
+        "lv-coin",
+        "lv-p1ca",
+        "ab",
+        ("s", "acc", "rej"),
+        "s",
+        ("acc",),
+        [("s", L, "*", [("acc", 0, F(1, 2)), ("rej", 0, F(1, 2))])]
+        + [(q, symbol, "*", [(q, 0, F(1))]) for q in ("acc", "rej") for symbol in ("a", "b", R)],
+    )
+    entry = zoo.ZooEntry(
+        "lv-coin", coin, "eq-star", zoo.ClaimedBounds(F(0), F(1), F(1)), "unsound coin"
+    )
+    real = zoo.get_entry
+    monkeypatch.setattr(zoo, "get_entry", lambda name: entry if name == "lv-coin" else real(name))
+
+    code, report, captured = run_batch(tmp_path, capsys, "--zoo", "lv-coin", "--max-n", "2")
+    assert code == EXIT_INVALID
+    assert report is not None
+    assert captured.err.startswith("claimed bounds violated for lv-coin: ")
+
+    assert main(["adversary", "brute", "lv-coin", "--max-n", "2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["reason"] == (
+        "both accept and reject have positive probability"
+    )
+
+
 # ---------------------------------------------------------------------------
 # adversary
 # ---------------------------------------------------------------------------
@@ -488,6 +525,24 @@ def test_zoo_emit_to_stdout(capsys):
     out = capsys.readouterr().out
     assert out.startswith("machine eq-star-complement-d1ca\n")
     assert out == emit(get_entry("eq-star-complement-d1ca").machine)
+
+
+def test_zoo_emit_into_a_closed_pipe_exits_quietly():
+    # The 200 KB text overfills the pipe, so the writer meets the closed end.
+    # Unbuffered, the interpreter would drop the short write without an error.
+    env = {**os.environ, "PYTHONPATH": str(Path(ocalab.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ocalab.cli", "zoo", "emit", "xoreq-q1ca"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"machine xoreq-q1ca\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == EXIT_IO
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_zoo_emit_unknown_name(capsys):

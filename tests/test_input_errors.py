@@ -58,10 +58,7 @@ def test_base_text_parses():
     [
         (
             BASE.replace("machine t\n", "machine t u\n"),
-            [
-                "1:1: error: 'machine' needs exactly one argument",
-                "1:1: error: missing 'machine' directive",
-            ],
+            ["1:1: error: 'machine' needs exactly one argument"],
         ),
         (BASE + "maxstep x\n", ["10:9: error: malformed integer 'x'"]),
         (
@@ -78,6 +75,14 @@ def test_base_text_parses():
             ["10:26: error: unexpected token 'x'; expected '@' or end of line"],
         ),
         (BASE + "trans s , a , Z -> s , 0 @\n", ["10:26: error: '@' with no weight"]),
+        (
+            BASE.replace("class d1ca\n", "class d1ca p1ca\n"),
+            ["2:1: error: 'class' needs exactly one argument"],
+        ),
+        (
+            BASE.replace("initial s\n", "initial\n"),
+            ["5:1: error: 'initial' needs exactly one argument"],
+        ),
     ],
 )
 def test_cma_diagnostics(text, expected):
