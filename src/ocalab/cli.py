@@ -59,8 +59,25 @@ def _verdict_fields(verdict: Verdict) -> dict[str, str]:
     }
 
 
+def _out(text: str) -> None:
+    """Write ``text`` to stdout in one write whose byte count is checked.
+
+    Unbuffered (``PYTHONUNBUFFERED``), the text layer would drop what a
+    reader that closed early did not take; a short write is a broken pipe.
+    """
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stream, such as io.StringIO, takes it whole
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = text.encode(sys.stdout.encoding, sys.stdout.errors)
+    if buffer.write(data) != len(data):
+        raise BrokenPipeError
+    buffer.flush()
+
+
 def _print_json(payload: object) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False))
+    _out(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
 
 
 class _CliError(Exception):
@@ -266,7 +283,7 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
     entry = _zoo_entry(args.name, f"unknown zoo machine {args.name!r}", EXIT_INVALID)
     text = emit(entry.machine)
     if args.out is None:
-        print(text, end="")
+        _out(text)
     else:
         _write(args.out, text)
     return EXIT_OK

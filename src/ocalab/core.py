@@ -235,17 +235,16 @@ class Violation:
         return f"[{self.code}] ({state}, {symbol}, {status}): {self.message}"
 
 
-def _check_weight_type(machine: CounterMachine, entry: TransEntry) -> str | None:
-    _, _, weight = entry
-    if machine.mclass.quantum:
+def _weight_problem(quantum: bool, weight: object) -> str:
+    """What is wrong with one branch weight, or "" when nothing is."""
+    if quantum:
         if not isinstance(weight, Amplitude):
             return "quantum transitions need Amplitude weights"
-    else:
-        if not isinstance(weight, Fraction):
-            return "classical transitions need Fraction weights"
-        if weight <= 0 or weight > 1:
-            return f"classical weight must lie in (0, 1], got {weight}"
-    return None
+    elif not isinstance(weight, Fraction):
+        return "classical transitions need Fraction weights"
+    elif weight.numerator <= 0 or weight.numerator > weight.denominator:
+        return f"classical weight must lie in (0, 1], got {weight}"
+    return ""
 
 
 def validate_machine(machine: CounterMachine) -> list[Violation]:
@@ -298,6 +297,12 @@ def validate_machine(machine: CounterMachine) -> list[Violation]:
         out.append(Violation("max-step", f"max_step must be >= 1, got {machine.max_step}"))
 
     tape = symbols | set(ENDMARKERS)
+    mclass, max_step = machine.mclass, machine.max_step
+    quantum, deterministic, probabilistic = mclass.quantum, mclass.deterministic, mclass.probabilistic
+    # Tables share weight objects and weight tuples: each distinct one is
+    # checked once, keyed by identity (the table keeps them alive).
+    weight_problems: dict[int, str] = {}
+    sum_problems: dict[tuple[int, ...], str] = {}
 
     for key in sorted(machine.transitions):
         state, symbol, status = key
@@ -312,20 +317,21 @@ def validate_machine(machine: CounterMachine) -> list[Violation]:
             out.append(Violation("row-empty", "transition row has no branches", key))
             continue
         seen_targets: set[tuple[State, int]] = set()
-        for entry in row:
-            target, delta, _weight = entry
+        for target, delta, weight in row:
             if target not in states:
                 out.append(Violation("target-state", f"unknown target state {target!r}", key))
-            if abs(delta) > machine.max_step:
+            if abs(delta) > max_step:
                 out.append(
                     Violation(
                         "delta-range",
-                        f"counter step {delta} exceeds max_step {machine.max_step}",
+                        f"counter step {delta} exceeds max_step {max_step}",
                         key,
                     )
                 )
-            problem = _check_weight_type(machine, entry)
-            if problem is not None:
+            problem = weight_problems.get(id(weight))
+            if problem is None:
+                problem = weight_problems[id(weight)] = _weight_problem(quantum, weight)
+            if problem:
                 out.append(Violation("weight", problem, key))
             if (target, delta) in seen_targets:
                 out.append(
@@ -336,25 +342,26 @@ def validate_machine(machine: CounterMachine) -> list[Violation]:
                     )
                 )
             seen_targets.add((target, delta))
-        if machine.mclass.deterministic:
+        if deterministic:
+            weight = row[0][2]
             if len(row) != 1:
                 out.append(
                     Violation("det-branching", "deterministic machines need exactly one branch", key)
                 )
-            elif isinstance(row[0][2], Fraction) and row[0][2] != 1:
+            elif isinstance(weight, Fraction) and weight.numerator != weight.denominator:
                 out.append(
-                    Violation("det-weight", f"deterministic branch weight must be 1, got {row[0][2]}", key)
+                    Violation("det-weight", f"deterministic branch weight must be 1, got {weight}", key)
                 )
-        elif machine.mclass.probabilistic:
-            weights = [w for _, _, w in row if isinstance(w, Fraction)]
-            if len(weights) == len(row) and sum(weights) != 1:
-                out.append(
-                    Violation(
-                        "prob-sum",
-                        f"branch probabilities must sum to 1, got {sum(weights)}",
-                        key,
-                    )
-                )
+        elif probabilistic:
+            ids = tuple([id(w) for _, _, w in row])
+            problem = sum_problems.get(ids)
+            if problem is None:
+                weights = [w for _, _, w in row if isinstance(w, Fraction)]
+                total = sum(weights)
+                wrong = len(weights) == len(row) and total != 1
+                problem = sum_problems[ids] = f"branch probabilities must sum to 1, got {total}" if wrong else ""
+            if problem:
+                out.append(Violation("prob-sum", problem, key))
 
     if machine.mclass.blind:
         keys = {(state, symbol) for state, symbol, _ in machine.transitions}

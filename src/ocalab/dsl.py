@@ -2,7 +2,11 @@
 
 The format is line oriented.  ``#`` starts a comment, so the tape symbol
 ``#`` is written with the alias token ``HASH``; likewise the endmarkers are
-written ``LEND`` and ``REND``.  Directives:
+written ``LEND`` and ``REND``.  Whitespace separates tokens, and ``,``,
+``@``, ``*`` and ``->`` are tokens of their own, so they need no spaces;
+a word runs up to whitespace, ``,``, ``@`` or ``*``, so a word right
+before ``->`` needs a space between them (``Z ->``).  Diagnostics point at 1-based ``line:col``
+spans.  Directives:
 
     machine <id>
     class <d1ca|d1bca|p1ca|p1bca|n1bca|u1bca|q1ca|lv-p1ca|lv-p1bca>
@@ -30,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from .amplitudes import AMP_ONE, Amplitude
@@ -91,43 +96,30 @@ class ParseError(EngineError):
         super().__init__(head + more)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    column: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, max(1, len(self.text)))
-
-
-def _tokenize(text: str) -> list[list[_Tok]]:
-    lines: list[list[_Tok]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        toks = [
-            _Tok(m.group(0), lineno, m.start() + 1) for m in _TOKEN_RE.finditer(body)
-        ]
-        lines.append(toks)
-    return lines
-
-
-def _parse_rational(tok: _Tok) -> Fraction:
-    try:
-        return Fraction(tok.text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _AmpError(f"malformed rational {tok.text!r}", tok) from exc
+def _span(body: str, lineno: int, index: int) -> SourceSpan:
+    """The span of token ``index`` of one line body, found by scanning it again."""
+    match = next(islice(_TOKEN_RE.finditer(body), index, None), None)
+    if match is None:  # no such token: the empty amplitude
+        return SourceSpan(lineno, 1, 1)
+    return SourceSpan(lineno, match.start() + 1, len(match.group()))
 
 
 class _AmpError(Exception):
-    def __init__(self, message: str, tok: _Tok):
+    """A weight literal that does not parse, at token ``index`` of the literal."""
+
+    def __init__(self, message: str, index: int):
         super().__init__(message)
-        self.message = message
-        self.tok = tok
+        self.message, self.index = message, index
 
 
-def _parse_amplitude(toks: list[_Tok]) -> Amplitude:
+def _parse_rational(text: str, index: int) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _AmpError(f"malformed rational {text!r}", index) from exc
+
+
+def _parse_amplitude(toks: list[str]) -> Amplitude:
     """Parse sign-joined terms, optionally ending in ``i``.
 
     A *term* is ``<rat>`` or ``<rat> r2``.  A *group* is at most one plain
@@ -137,47 +129,47 @@ def _parse_amplitude(toks: list[_Tok]) -> Amplitude:
     this module emits.
     """
     if not toks:
-        raise _AmpError("empty amplitude", _Tok("", 1, 1))
-    has_i = toks[-1].text == "i"
+        raise _AmpError("empty amplitude", 0)
+    has_i = toks[-1] == "i"
     body = toks[:-1] if has_i else toks
     if not body:
-        raise _AmpError("amplitude has no terms", toks[-1])
+        raise _AmpError("amplitude has no terms", len(toks) - 1)
 
-    terms: list[tuple[Fraction, bool, _Tok]] = []
+    terms: list[tuple[Fraction, bool, int]] = []  # (value, is r2, token index)
     sign = 1
     want_term = True
-    for tok in body:
-        if tok.text in ("+", "-"):
+    for index, tok in enumerate(body):
+        if tok in ("+", "-"):
             if want_term and terms:
-                raise _AmpError("two sign tokens in a row", tok)
-            sign = 1 if tok.text == "+" else -1
+                raise _AmpError("two sign tokens in a row", index)
+            sign = 1 if tok == "+" else -1
             want_term = True
-        elif tok.text == "r2":
+        elif tok == "r2":
             if want_term or not terms or terms[-1][1]:
-                raise _AmpError("stray r2 token", tok)
+                raise _AmpError("stray r2 token", index)
             value, _, first = terms[-1]
             terms[-1] = (value, True, first)
         else:
             if not want_term and terms:
-                raise _AmpError(f"expected + or - before {tok.text!r}", tok)
-            terms.append((sign * _parse_rational(tok), False, tok))
+                raise _AmpError(f"expected + or - before {tok!r}", index)
+            terms.append((sign * _parse_rational(tok, index), False, index))
             sign = 1
             want_term = False
     if want_term and terms:
-        raise _AmpError("dangling sign at end of amplitude", body[-1])
+        raise _AmpError("dangling sign at end of amplitude", len(body) - 1)
 
-    def fold(group: list[tuple[Fraction, bool, _Tok]]) -> tuple[Fraction, Fraction]:
+    def fold(group: list[tuple[Fraction, bool, int]]) -> tuple[Fraction, Fraction]:
         rat = Fraction(0)
         s2 = Fraction(0)
         seen_rat = seen_s2 = False
-        for value, is_r2, tok in group:
+        for value, is_r2, index in group:
             if is_r2:
                 if seen_s2:
-                    raise _AmpError("two r2 terms in one part", tok)
+                    raise _AmpError("two r2 terms in one part", index)
                 s2, seen_s2 = value, True
             else:
                 if seen_rat or seen_s2:
-                    raise _AmpError("malformed amplitude part", tok)
+                    raise _AmpError("malformed amplitude part", index)
                 rat, seen_rat = value, True
         return rat, s2
 
@@ -223,17 +215,15 @@ def emit_amplitude(amp: Amplitude) -> str:
 
 def parse_amplitude(text: str) -> Amplitude:
     """Parse one amplitude from standalone text (used by tests and tools)."""
-    toks = [_Tok(m.group(0), 1, m.start() + 1) for m in _TOKEN_RE.finditer(text)]
     try:
-        return _parse_amplitude(toks)
+        return _parse_amplitude(_TOKEN_RE.findall(text))
     except _AmpError as exc:
-        raise ParseError(
-            [ParseDiagnostic(exc.tok.span, ERROR, exc.message)]
-        ) from exc
+        raise ParseError([ParseDiagnostic(_span(text, 1, exc.index), ERROR, exc.message)]) from exc
 
 
 _SINGLE_DIRECTIVES = ("machine", "class", "initial", "maxstep")
 _LIST_DIRECTIVES = ("alphabet", "states", "accept", "neutral")
+_TOP = SourceSpan(1, 1, 1)
 
 
 def parse_with_diagnostics(
@@ -246,87 +236,90 @@ def parse_with_diagnostics(
     :func:`ocalab.core.validate_machine`.
     """
     diags: list[ParseDiagnostic] = []
+    bodies = [raw.split("#", 1)[0] for raw in text.splitlines()]
 
-    def err(tok: _Tok, message: str) -> None:
-        diags.append(ParseDiagnostic(tok.span, ERROR, message))
+    # A token is its text; where it stands is (line number, index in the
+    # line), turned into a span only when a diagnostic names it.
+    def err(lineno: int, index: int, message: str) -> None:
+        diags.append(ParseDiagnostic(_span(bodies[lineno - 1], lineno, index), ERROR, message))
 
-    lines = _tokenize(text)
-    single: dict[str, _Tok] = {}
+    single: dict[str, tuple[str, int, int]] = {}
     named: set[str] = set()  # single directives met, well formed or not
-    lists: dict[str, list[_Tok]] = {name: [] for name in _LIST_DIRECTIVES}
-    trans_lines: list[list[_Tok]] = []
+    lists: dict[str, list[tuple[str, int, int]]] = {name: [] for name in _LIST_DIRECTIVES}
+    trans_lines: list[tuple[int, list[str]]] = []
 
-    for toks in lines:
+    for lineno, body in enumerate(bodies, start=1):
+        toks = _TOKEN_RE.findall(body)
         if not toks:
             continue
         head = toks[0]
-        if head.text == "trans":
-            trans_lines.append(toks)
-        elif head.text in _SINGLE_DIRECTIVES:
-            named.add(head.text)
-            if head.text in single:
-                err(head, f"duplicate {head.text!r} directive")
+        if head == "trans":
+            trans_lines.append((lineno, toks))
+        elif head in _SINGLE_DIRECTIVES:
+            named.add(head)
+            if head in single:
+                err(lineno, 0, f"duplicate {head!r} directive")
             elif len(toks) != 2:
-                err(head, f"{head.text!r} needs exactly one argument")
+                err(lineno, 0, f"{head!r} needs exactly one argument")
             else:
-                single[head.text] = toks[1]
-        elif head.text in _LIST_DIRECTIVES:
-            lists[head.text].extend(toks[1:])
+                single[head] = (toks[1], lineno, 1)
+        elif head in _LIST_DIRECTIVES:
+            lists[head].extend((tok, lineno, index) for index, tok in enumerate(toks) if index)
         else:
-            err(head, f"unknown directive {head.text!r}")
+            err(lineno, 0, f"unknown directive {head!r}")
 
     for name in ("machine", "class", "initial", "states"):
         if name not in named and not lists.get(name):
-            diags.append(
-                ParseDiagnostic(SourceSpan(1, 1, 1), ERROR, f"missing {name!r} directive")
-            )
+            diags.append(ParseDiagnostic(_TOP, ERROR, f"missing {name!r} directive"))
 
     mclass: MachineClass | None = None
     if "class" in single:
+        tag, lineno, index = single["class"]
         try:
-            mclass = MachineClass.from_tag(single["class"].text)
+            mclass = MachineClass.from_tag(tag)
         except ValueError:
-            err(single["class"], f"unknown machine class {single['class'].text!r}")
+            err(lineno, index, f"unknown machine class {tag!r}")
 
     max_step = 1
     if "maxstep" in single:
+        digits, lineno, index = single["maxstep"]
         try:
-            max_step = int(single["maxstep"].text)
+            max_step = int(digits)
         except ValueError:
-            err(single["maxstep"], f"malformed integer {single['maxstep'].text!r}")
+            err(lineno, index, f"malformed integer {digits!r}")
 
     alphabet: list[str] = []
-    for tok in lists["alphabet"]:
-        sym = _SYMBOL_ALIASES.get(tok.text, tok.text)
+    for tok, lineno, index in lists["alphabet"]:
+        sym = _SYMBOL_ALIASES.get(tok, tok)
         if sym in ENDMARKERS:
-            err(tok, "endmarkers are implicit and may not be declared")
+            err(lineno, index, "endmarkers are implicit and may not be declared")
             continue
         if sym in alphabet:
-            err(tok, f"duplicate alphabet symbol {sym!r}")
+            err(lineno, index, f"duplicate alphabet symbol {sym!r}")
             continue
         alphabet.append(sym)
 
     states: list[str] = []
-    for tok in lists["states"]:
-        if tok.text in states:
-            err(tok, f"duplicate state {tok.text!r}")
+    for tok, lineno, index in lists["states"]:
+        if tok in states:
+            err(lineno, index, f"duplicate state {tok!r}")
             continue
-        if tok.text in _RESERVED_TOKENS or tok.text == SINK:
-            err(tok, f"state name {tok.text!r} is reserved")
+        if tok in _RESERVED_TOKENS or tok == SINK:
+            err(lineno, index, f"state name {tok!r} is reserved")
             continue
-        states.append(tok.text)
+        states.append(tok)
 
     state_set = set(states)
 
-    def state_arg(tok: _Tok) -> str | None:
-        if tok.text not in state_set:
-            err(tok, f"undeclared state {tok.text!r}")
+    def state_arg(tok: str, lineno: int, index: int) -> str | None:
+        if tok not in state_set:
+            err(lineno, index, f"undeclared state {tok!r}")
             return None
-        return tok.text
+        return tok
 
-    accepting = [state_arg(t) for t in lists["accept"]]
-    neutral = [state_arg(t) for t in lists["neutral"]]
-    initial = state_arg(single["initial"]) if "initial" in single else None
+    accepting = [state_arg(*tok) for tok in lists["accept"]]
+    neutral = [state_arg(*tok) for tok in lists["neutral"]]
+    initial = state_arg(*single["initial"]) if "initial" in single else None
 
     tape_symbols = set(alphabet) | set(ENDMARKERS)
     if mclass is None:
@@ -335,112 +328,109 @@ def parse_with_diagnostics(
     # --- transition lines -------------------------------------------------
     # Branches are collected per key with their (possibly missing) weights;
     # weights are resolved after all lines are read so that uniform fill can
-    # see the whole row.
-    pending: dict[TransKey, list[tuple[str, int, object | None, _Tok]]] = {}
-    key_line: dict[TransKey, SourceSpan] = {}
+    # see the whole row.  Each distinct weight literal is parsed once; only
+    # a successful parse is kept, so every bad one is reported where it is.
+    pending: dict[TransKey, list[tuple[str, int, object | None, int]]] = {}
     seen_branches: set[tuple[str, str, str, str, int]] = set()
+    literals: dict[tuple[str, ...], object] = {}
+    quantum, blind = mclass.quantum, mclass.blind
 
-    for toks in trans_lines:
-        head = toks[0]
-        texts = [t.text for t in toks]
+    for lineno, toks in trans_lines:
         # trans q , sym , st -> q2 , delta [@ weight...]
-        shape_ok = (
-            len(toks) >= 9
-            and texts[2] == ","
-            and texts[4] == ","
-            and texts[6] == "->"
-            and texts[8] == ","
-        )
-        if not shape_ok:
-            err(head, "malformed transition line; expected "
+        if len(toks) < 9 or toks[2:9:2] != [",", ",", "->", ","]:
+            err(lineno, 0, "malformed transition line; expected "
                 "'trans <state> , <sym> , <Z|NZ|*> -> <state> , <delta> [@ <weight>]'")
             continue
         if len(toks) == 9:
-            err(toks[8], "transition line ends early; expected counter delta")
+            err(lineno, 8, "transition line ends early; expected counter delta")
             continue
-        src_tok, sym_tok, st_tok, dst_tok, delta_tok = toks[1], toks[3], toks[5], toks[7], toks[9]
+        status_tok, delta_tok = toks[5], toks[9]
 
-        src = state_arg(src_tok)
-        dst = state_arg(dst_tok)
-        sym = _SYMBOL_ALIASES.get(sym_tok.text, sym_tok.text)
+        src = state_arg(toks[1], lineno, 1)
+        dst = state_arg(toks[7], lineno, 7)
+        sym = _SYMBOL_ALIASES.get(toks[3], toks[3])
         if sym not in tape_symbols:
-            err(sym_tok, f"undeclared symbol {sym_tok.text!r}")
+            err(lineno, 3, f"undeclared symbol {toks[3]!r}")
             sym = None
-        if st_tok.text == "*":
+        if status_tok == "*":
             statuses: tuple[str, ...] = STATUSES
-        elif st_tok.text in STATUSES:
-            if mclass.blind:
-                err(st_tok, "blind machine cannot branch on status; use '*'")
+        elif status_tok in STATUSES:
+            if blind:
+                err(lineno, 5, "blind machine cannot branch on status; use '*'")
                 continue
-            statuses = (st_tok.text,)
+            statuses = (status_tok,)
         else:
-            err(st_tok, f"status must be Z, NZ or *, got {st_tok.text!r}")
+            err(lineno, 5, f"status must be Z, NZ or *, got {status_tok!r}")
             continue
         try:
-            delta = int(delta_tok.text)
+            delta = int(delta_tok)
         except ValueError:
-            err(delta_tok, f"malformed counter delta {delta_tok.text!r}")
+            err(lineno, 9, f"malformed counter delta {delta_tok!r}")
             continue
 
         weight: object | None = None
         if len(toks) > 10:
-            if toks[10].text != "@":
-                err(toks[10], f"unexpected token {toks[10].text!r}; expected '@' or end of line")
+            if toks[10] != "@":
+                err(lineno, 10, f"unexpected token {toks[10]!r}; expected '@' or end of line")
                 continue
-            weight_toks = toks[11:]
-            if not weight_toks:
-                err(toks[10], "'@' with no weight")
+            literal = tuple(toks[11:])
+            if not literal:
+                err(lineno, 10, "'@' with no weight")
                 continue
-            try:
-                if mclass.quantum:
-                    weight = _parse_amplitude(weight_toks)
-                elif len(weight_toks) != 1:
-                    raise _AmpError("classical weight must be a single rational", weight_toks[1])
-                else:
-                    weight = _parse_rational(weight_toks[0])
-                    if weight < 0 or weight > 1:
-                        raise _AmpError(f"weight {weight} outside [0,1]", weight_toks[0])
-            except _AmpError as exc:
-                err(exc.tok, exc.message)
-                continue
+            weight = literals.get(literal)
+            if weight is None:
+                try:
+                    if quantum:
+                        weight = _parse_amplitude(toks[11:])
+                    elif len(literal) != 1:
+                        raise _AmpError("classical weight must be a single rational", 1)
+                    else:
+                        weight = _parse_rational(literal[0], 0)
+                        if weight < 0 or weight > 1:
+                            raise _AmpError(f"weight {weight} outside [0,1]", 0)
+                except _AmpError as exc:
+                    err(lineno, 11 + exc.index, exc.message)
+                    continue
+                literals[literal] = weight
 
         if src is None or dst is None or sym is None:
             continue
-        dup_key = (src, sym, st_tok.text, dst, delta)
+        dup_key = (src, sym, status_tok, dst, delta)
         if dup_key in seen_branches:
-            err(head, f"duplicate transition {src} , {_symbol_token(sym)} , "
-                f"{st_tok.text} -> {dst} , {delta}")
+            err(lineno, 0, f"duplicate transition {src} , {_symbol_token(sym)} , "
+                f"{status_tok} -> {dst} , {delta}")
             continue
         seen_branches.add(dup_key)
         for status in statuses:
             key: TransKey = (src, sym, status)
-            pending.setdefault(key, []).append((dst, delta, weight, head))
-            key_line.setdefault(key, head.span)
+            pending.setdefault(key, []).append((dst, delta, weight, lineno))
 
     transitions: dict[TransKey, tuple[TransEntry, ...]] = {}
+    fills: dict[int, Fraction] = {}  # branch count -> its uniform weight
     for key, branches in pending.items():
-        weights = [w for _, _, w, _ in branches]
-        if mclass.quantum:
+        if quantum:
             row = tuple(
                 (dst, delta, w if w is not None else AMP_ONE)
                 for dst, delta, w, _ in branches
             )
-        elif all(w is None for w in weights):
-            fill = Fraction(1, len(branches))
-            row = tuple((dst, delta, fill) for dst, delta, _, _ in branches)
-        elif any(w is None for w in weights):
-            tok = next(t for _, _, w, t in branches if w is None)
-            err(tok, "row mixes weighted and unweighted branches")
-            continue
         else:
-            row = tuple((dst, delta, w) for dst, delta, w, _ in branches)
+            unweighted = [lineno for _, _, w, lineno in branches if w is None]
+            if len(unweighted) == len(branches):
+                n = len(branches)
+                fill = fills[n] if n in fills else fills.setdefault(n, Fraction(1, n))
+                row = tuple((dst, delta, fill) for dst, delta, _, _ in branches)
+            elif unweighted:
+                err(unweighted[0], 0, "row mixes weighted and unweighted branches")
+                continue
+            else:
+                row = tuple((dst, delta, w) for dst, delta, w, _ in branches)
         transitions[key] = row
 
     if diags:
         return None, diags
 
     machine = CounterMachine(
-        name=single["machine"].text,
+        name=single["machine"][0],
         mclass=mclass,
         alphabet=tuple(alphabet),
         states=tuple(states),
@@ -451,9 +441,11 @@ def parse_with_diagnostics(
         max_step=max_step,
     )
 
-    top = SourceSpan(1, 1, 1)
     for violation in validate_machine(machine):
-        span = key_line.get(violation.key, top) if violation.key else top
+        # A key's diagnostics point at its first line (a sink key has none).
+        branches = pending.get(violation.key)
+        lineno = branches[0][3] if branches else 0
+        span = _span(bodies[lineno - 1], lineno, 0) if lineno else _TOP
         diags.append(ParseDiagnostic(span, ERROR, str(violation)))
     return (None if diags else machine), diags
 

@@ -11,8 +11,10 @@ a final probability is reported as a hard error, never rounded away.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from . import kernel as _kernel
 from .amplitudes import AMP_ONE, Amplitude
@@ -151,15 +153,25 @@ def _gram_violations(
     Two vectors have a nonzero inner product only if they share a support
     configuration, so the Gram matrix is accumulated through shared-support
     buckets instead of all-pairs products; the result is identical.  A
+    vector of one entry on a configuration no other vector reaches is
+    orthogonal to all of them, so it needs no bucket, only its norm.  A
     vector has norm ``unit`` when it is normalised.
     """
     index = {key: i for i, key in enumerate(keys)}
+    reach = Counter(chain.from_iterable(vectors.get(key, ()) for key in keys))
+    norms: dict[_kernel.Quad, _kernel.Quad] = {}  # one product per distinct entry
+    gram: dict[tuple[int, int], _kernel.Quad] = {}
     buckets: dict[int, list[tuple[int, _kernel.Quad]]] = {}
     for key in keys:
-        for support, amp in vectors.get(key, {}).items():
+        vector = vectors.get(key, {})
+        if len(vector) == 1:
+            ((support, amp),) = vector.items()
+            if reach[support] == 1:
+                gram[key, key] = norms.get(amp) or norms.setdefault(amp, amp.conjugate() * amp)
+                continue
+        for support, amp in vector.items():
             buckets.setdefault(support, []).append((key, amp))
 
-    gram: dict[tuple[int, int], _kernel.Quad] = {}
     for entries in buckets.values():
         # Entries follow ``keys``, so each pair is stored lower index first,
         # with the conjugate on that first vector.
@@ -223,13 +235,14 @@ def check_unitarity(machine: CounterMachine) -> UnitarityReport:
         for s in ids:
             for counter in range(-3 * m, 3 * m + 1):
                 source = counter * size + s
+                branches = table.branches(s, counter == 0, unit)
                 column: dict[int, _kernel.Quad] = {}
-                for off, weight in table.branches(s, counter == 0, unit):
+                for off, weight in branches:
                     prev = column.get(source + off)
                     column[source + off] = weight if prev is None else prev + weight
-                columns[source] = {
-                    key: amp for key, amp in column.items() if amp != _kernel.QZERO
-                }
+                if len(column) < len(branches):  # only a sum can cancel to zero
+                    column = {key: amp for key, amp in column.items() if amp != _kernel.QZERO}
+                columns[source] = column
 
         rows: dict[int, dict[int, _kernel.Quad]] = {}
         for source, column in columns.items():

@@ -1,4 +1,6 @@
 """Command-line interface: exit codes, output formats, report files."""
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -543,6 +545,32 @@ def test_zoo_emit_into_a_closed_pipe_exits_quietly():
     assert proc.wait(timeout=60) == EXIT_IO
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_zoo_emit_into_a_closed_pipe_fails_in_both_modes(unbuffered):
+    # Unbuffered, the text layer used to drop the short write and exit 0.
+    env = {**os.environ, "PYTHONPATH": str(Path(ocalab.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ocalab.cli", "zoo", "emit", "xoreq-q1ca"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"machine xoreq-q1ca\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == EXIT_IO
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_zoo_emit_into_a_text_only_stdout():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["zoo", "emit", "m1"]) == EXIT_OK
+    assert out.getvalue() == emit(get_entry("m1").machine)
 
 
 def test_zoo_emit_unknown_name(capsys):

@@ -1,11 +1,12 @@
 """Text format: canonical emission, parsing, diagnostics, round trips."""
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import F, mk
+from helpers import F, hadamard2, mk
 from ocalab import (
     AMP_INV_SQRT2,
     AMP_ONE,
@@ -21,7 +22,7 @@ from ocalab import (
     zoo_names,
     get_entry,
 )
-from ocalab.dsl import emit_amplitude, parse_amplitude
+from ocalab.dsl import SourceSpan, emit_amplitude, parse_amplitude
 
 TINY = """
 # a tiny probabilistic machine
@@ -285,6 +286,78 @@ def test_parse_error_carries_diagnostics():
     diags = exc_info.value.diagnostics
     assert diags and any(d.severity == "error" for d in diags)
     assert ":" in str(exc_info.value)
+
+
+# The same machine as TINY with no space around ',', '@' and '*'.  A word
+# runs up to whitespace, ',', '@' or '*', so '->' right after a word needs
+# a space before it: 'Z->t' would be one token.
+TINY_COMPACT = """machine tiny
+class p1ca
+alphabet a b
+states s t
+initial s
+accept t
+maxstep 2
+trans s,LEND,*->s,0
+trans s,a,Z ->t,2@1/2
+trans s,a,Z ->s,0@1/2
+trans t,REND,NZ ->t,0
+"""
+
+
+def _with_comments(text):
+    return "\n".join(line + "\t# note, -> @ *" if line else line for line in text.split("\n"))
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        lambda text: text.replace(" ", "\t"),
+        lambda text: text.replace(" ", "   "),
+        lambda text: text.replace("\n", "\r\n"),
+        _with_comments,
+    ],
+    ids=["tabs", "space-runs", "crlf", "trailing-comment"],
+)
+def test_token_separators_do_not_change_the_machine(variant):
+    quantum = emit(hadamard2())
+    assert parse(variant(TINY)) == parse(TINY)
+    assert parse(variant(quantum)) == parse(quantum)
+
+
+def test_separators_need_no_spaces():
+    assert parse(TINY_COMPACT) == parse(TINY)
+    quantum = emit(hadamard2())  # every row is '*', and amplitudes have r2 terms
+    compact = re.sub(r" ?(,|->|@|\*) ", r"\1", quantum)
+    assert "trans q,a,*->q,0@1/2 r2" in compact
+    assert parse(compact) == parse(quantum)
+
+
+def test_each_bad_literal_is_reported_at_its_own_position():
+    # One literal text that fails on two lines: the failure is not shared,
+    # so each line gets its own diagnostic and span.
+    text = TINY.replace("Z -> t , 2 @ 1/2", "Z -> t , 2 @ 1/0").replace(
+        "Z -> s , 0 @ 1/2", "Z -> s , 0 @   1/0"
+    )
+    machine, errors = errors_of(text)
+    assert machine is None
+    assert [str(e) for e in errors] == [
+        "12:28: error: malformed rational '1/0'",
+        "13:30: error: malformed rational '1/0'",
+    ]
+    assert [e.span for e in errors] == [SourceSpan(12, 28, 3), SourceSpan(13, 30, 3)]
+
+
+def test_misshaped_transition_line_points_at_its_head():
+    text = TINY.replace("trans t , REND , NZ -> t , 0", "\t  trans t REND NZ -> t , 0")
+    _, errors = errors_of(text)
+    assert [(str(e), e.span.length) for e in errors] == [
+        (
+            "14:4: error: malformed transition line; expected "
+            "'trans <state> , <sym> , <Z|NZ|*> -> <state> , <delta> [@ <weight>]'",
+            5,
+        )
+    ]
 
 
 def test_emit_rejects_unwritable_names():

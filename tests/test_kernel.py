@@ -190,6 +190,47 @@ def test_unitarity_reports_match_reference_on_xoreq():
     assert report == ref_check_unitarity(perturbed)
 
 
+def _two_state_q1ca(name, a_rows):
+    """A q1ca on states q, r over {a}: every state stays put on the
+    endmarkers, and ``a_rows`` give the rows on 'a'."""
+    ends = [(q, end, "*", [(q, 0, AMP_ONE)]) for q in ("q", "r") for end in (L, R)]
+    return mk(name, "q1ca", "a", ("q", "r"), "q", ("q",), ends + a_rows)
+
+
+@pytest.mark.parametrize(
+    "name, a_rows, violation",
+    [
+        # A single-branch column of modulus 1/2 on a target no other column
+        # reaches: its own norm is the violation, in both directions.
+        (
+            "half",
+            [("q", "a", "*", [("q", 1, AMP_HALF)]), ("r", "a", "*", [("r", -1, AMP_ONE)])],
+            ("a", ("q", 0), ("q", 0), Amplitude(F(1, 4))),
+        ),
+        # Two single-branch columns on one target are not orthogonal.
+        (
+            "shared",
+            [("q", "a", "*", [("r", 1, AMP_ONE)]), ("r", "a", "*", [("r", 1, AMP_ONE)])],
+            ("a", ("q", 0), ("r", 0), AMP_ONE),
+        ),
+        # A single-branch column whose target a two-branch column reaches too.
+        (
+            "mixed",
+            [
+                ("q", "a", "*", [("q", 0, AMP_INV_SQRT2), ("r", 0, AMP_INV_SQRT2)]),
+                ("r", "a", "*", [("r", 0, AMP_ONE)]),
+            ],
+            ("a", ("q", 0), ("r", 0), AMP_INV_SQRT2),
+        ),
+    ],
+)
+def test_single_branch_columns_match_reference(name, a_rows, violation):
+    machine = _two_state_q1ca(name, a_rows)
+    report = check_unitarity(machine)
+    assert violation in report.isometry_violations
+    assert report == ref_check_unitarity(machine)
+
+
 def test_long_quantum_run_keeps_a_small_denominator():
     # a == c and b != d: a yes-instance with blocks far longer than the grid's.
     word = xoreq_word(60, 40, 60, 46, 0, 2, 8, 0)
