@@ -18,7 +18,6 @@ Three constructive attacks plus an empirical scanner:
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import tee
@@ -545,9 +544,21 @@ def bounds_rule(bounds: ClaimedBounds, las_vegas: bool = False) -> Rule:
     """Hold a machine to its claimed exact bounds (plus LV soundness).
 
     The rule is :meth:`ClaimedBounds.violation`, the check ``ocalab batch``
-    makes too.
+    makes too.  ``run_many`` shares one ``Verdict`` per outcome, so the
+    reason is kept per (label, verdict), with the verdict held so that its
+    id is not reused, and the cache is cleared once it holds 256.
     """
-    return functools.partial(bounds.violation, las_vegas=las_vegas)
+    seen: dict[tuple[str, int], tuple[Verdict, Optional[str]]] = {}
+
+    def rule(label: str, verdict: Verdict) -> Optional[str]:
+        hit = seen.get((label, id(verdict)))
+        if hit is None or hit[0] is not verdict:
+            if len(seen) >= 256:
+                seen.clear()
+            hit = seen[(label, id(verdict))] = (verdict, bounds.violation(label, verdict, las_vegas))
+        return hit[1]
+
+    return rule
 
 
 def default_rule(machine: CounterMachine) -> Rule:

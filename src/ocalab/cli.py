@@ -30,6 +30,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import tee
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,6 +58,17 @@ def _verdict_fields(verdict: Verdict) -> dict[str, str]:
         "reject": _fmt(verdict.reject),
         "dontknow": _fmt(verdict.neutral),
     }
+
+
+def _record_parts(label: str, verdict: Verdict) -> tuple[str, str]:
+    """The text of a batch record before and after its JSON-encoded input,
+    laid out as ``json.dumps(report, sort_keys=True, indent=2)`` lays out
+    one element of ``report["instances"]``."""
+    record = {"input": "", "label": label, **_verdict_fields(verdict)}
+    text = json.dumps(record, sort_keys=True, indent=2, ensure_ascii=False)
+    # An encoded string escapes its quotes, so only the key matches.
+    head, tail = text.replace("\n", "\n    ").split('"input": ""')
+    return f'    {head}"input": ', tail
 
 
 def _out(text: str) -> None:
@@ -178,11 +190,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     # run_many shares one Verdict among the words with the same outcome, so
     # each distinct (verdict, label) is formatted and summarised once: a
     # repeat cannot move the strict minimum or maximum.
-    seen: dict[tuple[int, str], tuple[Verdict, dict[str, str]]] = {}
+    seen: dict[tuple[int, str], tuple[Verdict, str, str]] = {}
     for (word, label), verdict in zip(instances, run_many(machine, (w for w, _ in words))):
         hit = seen.get((id(verdict), label))
         if hit is None:
-            hit = seen[(id(verdict), label)] = (verdict, _verdict_fields(verdict))
+            hit = seen[(id(verdict), label)] = (verdict, *_record_parts(label, verdict))
             if rule is not None and rule(label, verdict) is not None:
                 violated = True
             max_dontknow = max(max_dontknow, verdict.neutral)
@@ -193,7 +205,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 max_no = verdict.accept
                 if min_yes is None:
                     worst = (word, label)
-        records.append({"input": word, "label": label, **hit[1]})
+        records.append(hit[1] + encode_basestring(word) + hit[2])
     if not records:
         raise _no_instances(problem_name, args.max_n)
 
@@ -209,10 +221,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         "problem": problem_name,
         "machine": machine.name,
         "max_n": args.max_n,
-        "instances": records,
         "summary": summary,
     }
-    _write(args.out, json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
+    # "instances" sorts first, so the report is the records then the rest
+    # of json.dumps(report, sort_keys=True, indent=2) after its "{\n".
+    rest = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False)
+    _write(args.out, '{\n  "instances": [\n' + ",\n".join(records) + "\n  ],\n" + rest[2:] + "\n")
 
     if violated:
         print(

@@ -27,6 +27,10 @@ move re-labels a whole state in O(1), and the sources of a branching row
 are gathered once.  Machines that read the counter hold a few
 configurations per state, where the flat ``{config: value}`` form of
 :func:`propagate` is cheaper.
+
+A step's result depends only on the flat content and ``D`` it starts from,
+however it is grouped, so :func:`run_many` steps each distinct (content, D)
+of a batch once.
 """
 from __future__ import annotations
 
@@ -55,6 +59,11 @@ Branches = tuple  # ((offset, int or Quad weight), ...)
 
 # Outcome kinds of a final configuration.
 REJECT, ACCEPT, NEUTRAL = 0, 1, 2
+
+# run_many clears its memo between words once it holds more entries than
+# this: the configurations of each node, or for per-state groups those of
+# each distinct group dict plus each node's groups (README gives the bytes).
+MEMO_CONFIGS = 1 << 16
 
 
 class MeasurementError(SimulationError):
@@ -645,20 +654,47 @@ def run_word(machine: CounterMachine, word: str) -> Verdict:
 def run_many(machine: CounterMachine, words: Iterable[str]) -> Iterator[Verdict]:
     """``run_word`` of every word, yielded lazily and in order.
 
-    ``stack[i]`` holds the (distribution, D) after ``¢ + word[:i]``.  Each
-    word is cut back to where it leaves the previous word and stepped from
-    there, so words in generator order share most of their steps; memory
-    stays O(word length).  Only the symbols past the shared prefix are
-    checked, with ``tape_of``'s error for the first bad one.  One
-    ``Verdict`` is built per distinct outcome, and shared by every word
-    with that outcome within this call.
+    Each distinct (content, D) reached is one node of a memo that lives
+    only in this call: a node's step on a symbol is taken once and
+    then looked up, and so are its ``$`` step and ``Verdict``.  ``path[i]``
+    is the node after ``¢ + word[:i]``, cut back to where each word leaves
+    the previous one.  Only the symbols past that point are checked, with
+    ``tape_of``'s error for the first bad one.  One ``Verdict`` is built per
+    distinct outcome and shared by every word with that outcome.  Once the
+    memo holds more than ``MEMO_CONFIGS`` entries it is cleared between
+    words and starts again from the current path.
     """
     kernel = compiled(machine)
     verdict_of = born if kernel.quantum else tally
     allowed = set(machine.alphabet).difference(ENDMARKERS)
-    stack: list[tuple[Groups | IntDist, int]] = []
-    advance(kernel, (LEFT_END,), keep=stack)
     verdicts: dict[tuple, Verdict] = {}
+    memo: dict[tuple, list] = {}  # (content, D) -> [distribution, D, {symbol: node}, verdict]
+    frozen: dict[int, tuple] = {}  # id(group dict) -> (dict, least key, items less it)
+    held = 0  # entries in the memo: see MEMO_CONFIGS
+
+    def group(item: tuple) -> tuple:
+        """A group as (state, least counter, items less it): its content,
+        built once per dict, which no step writes after the one that made it."""
+        nonlocal held
+        state, (shift, counts) = item
+        hit = frozen.get(id(counts))
+        if hit is None:
+            low = min(counts)
+            items = frozenset((key - low, mass) for key, mass in counts.items())
+            hit = frozen[id(counts)] = (counts, low, items)
+            held += len(counts)
+        return state, shift + hit[1], hit[2]
+
+    def node(dist: Groups | IntDist, den: int) -> list:
+        nonlocal held
+        content = frozenset(dist.items() if kernel.rows is None else map(group, dist.items()))
+        found = memo.get((content, den))
+        if found is None:
+            found = memo[(content, den)] = [dist, den, {}, None]
+            held += len(content)
+        return found
+
+    path = [node(*advance(kernel, (LEFT_END,)))]
     prev: Sequence[str] = ""
     for word in words:
         common = 0
@@ -669,15 +705,27 @@ def run_many(machine: CounterMachine, words: Iterable[str]) -> Iterator[Verdict]
         new = word[common:]
         if not allowed.issuperset(new):
             tape_of(new, machine.alphabet)  # raises for the first bad symbol
-        del stack[common + 1 :]
-        advance(kernel, (*new, RIGHT_END), *stack[common], keep=stack)
-        dist, den = stack.pop()  # the step past the word's end
-        key = (outcome_sums(kernel, dist.items()), den)
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = verdicts[key] = verdict_of(*key)
+        del path[common + 1 :]
+        if held > MEMO_CONFIGS:
+            memo.clear()
+            frozen.clear()
+            held = 0
+            path = [node(dist, den) for dist, den, _, _ in path]
+        at = path[-1]
+        for symbol in new:
+            step = at[2].get(symbol)
+            if step is None:
+                step = at[2][symbol] = node(*advance(kernel, (symbol,), at[0], at[1]))
+            path.append(step)
+            at = step
+        if at[3] is None:
+            dist, den = advance(kernel, (RIGHT_END,), at[0], at[1])
+            key = (outcome_sums(kernel, dist.items()), den)
+            if key not in verdicts:
+                verdicts[key] = verdict_of(*key)
+            at[3] = verdicts[key]
         prev = word
-        yield verdict
+        yield at[3]
 
 
 # ---------------------------------------------------------------------------

@@ -482,6 +482,56 @@ def test_bounds_rule(onenone, eqstar_k3):
     assert rule("no", v(F(1, 2), F(1, 2))) == "accept 1/2 above claimed no-bound 1/3"
 
 
+def _bounds_cases():
+    from ocalab import get_entry
+
+    bounds = get_entry("onenone-lv").claimed_bounds
+    verdicts = [v(F(1, 3), 0, F(2, 3)), v(F(1, 4), 0, F(3, 4)), v(0, F(1, 3), F(2, 3)), v(0, 1)]
+    return bounds, [(label, verdict) for verdict in verdicts for label in ("yes", "no")]
+
+
+@pytest.mark.parametrize("las_vegas", [False, True])
+def test_bounds_rule_caches_the_reason_per_label_and_verdict(monkeypatch, las_vegas):
+    bounds, cases = _bounds_cases()
+    rule = bounds_rule(bounds, las_vegas=las_vegas)
+    want = [bounds.violation(label, verdict, las_vegas) for label, verdict in cases]
+    # The same verdict objects again, and fresh equal ones.
+    for _ in range(2):
+        assert [rule(label, verdict) for label, verdict in cases] == want
+    fresh = [(label, Verdict(*dataclasses.astuple(verdict))) for label, verdict in cases]
+    assert [rule(label, verdict) for label, verdict in fresh] == want
+    # A recycled id: every verdict seen under one id is still judged afresh.
+    monkeypatch.setattr(adversary, "id", lambda obj: 0, raising=False)
+    rule = bounds_rule(bounds, las_vegas=las_vegas)
+    for _ in range(2):
+        assert [rule(label, verdict) for label, verdict in cases] == want
+    # The cache is bounded: far more distinct verdicts than it holds.
+    monkeypatch.undo()
+    many = [v(F(1, k), 1 - F(1, k)) for k in range(1, 600)]
+    assert [rule("no", verdict) for verdict in many] == [
+        bounds.violation("no", verdict, las_vegas) for verdict in many
+    ]
+    (cache,) = [cell.cell_contents for cell in rule.__closure__ if type(cell.cell_contents) is dict]
+    assert 0 < len(cache) <= 256
+
+
+def test_brute_calls_a_user_rule_on_every_instance_in_order():
+    from ocalab import get_entry
+
+    entry = get_entry("eq3-p1bca-k4")
+    instances = get_problem("eq3").generate(6)
+    seen = []
+    claim = bounds_rule(entry.claimed_bounds)
+
+    def rule(label, verdict):
+        seen.append((label, verdict))
+        return claim(label, verdict)
+
+    assert brute_refute(entry.machine, "eq3", 6, rule) is None
+    assert [label for label, _ in seen] == [label for _, label in instances]
+    assert [verdict for _, verdict in seen] == [run(entry.machine, word) for word, _ in instances]
+
+
 def test_default_rule_dispatch(m1, m2, onenone, xoreq, eqstar_k3):
     def kind(machine):
         return default_rule(machine).__qualname__.split(".")[0]

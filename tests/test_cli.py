@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, output formats, report files."""
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ import ocalab
 from helpers import F, L, R, mk, u_accept_all, u_branchy
 from ocalab import emit, generate, get_entry, parse_file, sample_run, zoo, zoo_names
 from ocalab.adversary import bounds_rule, brute_refute
-from ocalab.cli import EXIT_EXHAUSTED, EXIT_INVALID, EXIT_IO, EXIT_OK, main
+from ocalab.cli import EXIT_EXHAUSTED, EXIT_INVALID, EXIT_IO, EXIT_OK, _record_parts, main
 from ocalab.kernel import run_word
 
 
@@ -171,6 +173,42 @@ def test_batch_report_bytes_are_deterministic(tmp_path, capsys):
     # keys are sorted: "instances" precedes "machine" precedes "problem"
     text = blob1.decode("utf-8")
     assert text.index('"instances"') < text.index('"machine"') < text.index('"problem"')
+
+
+# sha256 of two reports as json.dumps(report, sort_keys=True, indent=2,
+# ensure_ascii=False) wrote them whole; the xoreq-q1ca one breaks its claim.
+REPORT_DIGESTS = {
+    ("onenone-lv-t1", 12): "baf5e18cc961ac9a3358189c373b3167991e84edd3d6ded2508c1dc78f11ab9c",
+    ("xoreq-q1ca", 12): "40213c36b4c99435a5abc90579a01945c02dcd25fd8473055f5817a5a831676d",
+}
+
+
+@pytest.mark.parametrize(
+    "name, n, violated", [("m1", 4, False), ("onenone-lv-t1", 12, False), ("xoreq-q1ca", 12, True)]
+)
+def test_batch_report_bytes_are_json_dumps(tmp_path, capsys, name, n, violated):
+    out = tmp_path / "report.json"
+    code = main(["batch", "--zoo", name, "--max-n", str(n), "--out", str(out)])
+    err = capsys.readouterr().err
+    if violated:
+        assert code == EXIT_INVALID and err.startswith(f"claimed bounds violated for {name}: ")
+    else:
+        assert (code, err) == (EXIT_OK, "")
+    blob = out.read_bytes()
+    text = json.dumps(json.loads(blob), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert blob == text.encode("utf-8")
+    if (name, n) in REPORT_DIGESTS:
+        assert hashlib.sha256(blob).hexdigest() == REPORT_DIGESTS[(name, n)]
+
+
+def test_batch_record_parts_wrap_any_word():
+    verdict = run_word(get_entry("onenone-lv").machine, "adaabddd")
+    head, tail = _record_parts("yes", verdict)
+    for word in ["", "ad", 'a"b\\c\x01d\x7fé z']:
+        record = {"input": word, "label": "yes", "accept": "1/3", "reject": "0/1"}
+        report = {"instances": [{**record, "dontknow": "2/3"}]}
+        text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False)
+        assert text == '{\n  "instances": [\n' + head + encode_basestring(word) + tail + "\n  ]\n}"
 
 
 def test_batch_file_machine_needs_problem(tmp_path, capsys):

@@ -593,6 +593,86 @@ def test_run_many_snapshots_survive_returning_to_a_prefix():
     assert verdicts == [ref_run(machine, word) for word in words]
 
 
+def _counted_advance(monkeypatch):
+    """Count the calls of ``kernel.advance`` that ``run_many`` makes."""
+    calls = []
+    own = ocalab.kernel.advance
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return own(*args, **kwargs)
+
+    monkeypatch.setattr(ocalab.kernel, "advance", counted)
+    return calls
+
+
+MEMO_SWEEPS = [("eq-star-p1bca-k3", 9), ("xoreq-q1ca", 6), ("lang-L-p1ca-k3", 7), ("onenone-lv-t1", 12)]
+
+
+@pytest.fixture(scope="module")
+def memo_sweeps():
+    """(machine, words, run_word's verdicts) of every memo sweep, checked
+    against the reference: every word of a classical sweep, every 20th of
+    the quantum one, whose reference takes about 10 ms a word."""
+    out = {}
+    for name, n in MEMO_SWEEPS:
+        entry = get_entry(name)
+        machine = entry.machine
+        words = [word for word, _ in generate(entry.problem, n)]
+        expected = [run_word(machine, word) for word in words]
+        stride = 20 if machine.mclass.quantum else 1
+        reference = ref_run_quantum if machine.mclass.quantum else ref_run
+        assert expected[::stride] == [reference(machine, word) for word in words[::stride]]
+        out[name] = machine, words, expected
+    return out
+
+
+@pytest.mark.parametrize("limit", [0, 40])
+@pytest.mark.parametrize("name", [name for name, _ in MEMO_SWEEPS])
+def test_run_many_is_exact_across_memo_resets(monkeypatch, memo_sweeps, name, limit):
+    machine, words, expected = memo_sweeps[name]
+    steps = _counted_advance(monkeypatch)
+    assert list(run_many(machine, words)) == expected
+    merged = len(steps)
+    steps.clear()
+    monkeypatch.setattr(ocalab.kernel, "MEMO_CONFIGS", limit)
+    assert list(run_many(machine, words)) == expected
+    assert len(steps) > merged  # the memo was cleared and stepped again
+
+
+def test_run_many_steps_each_distinct_distribution_once(monkeypatch):
+    # 5,832 words of up to 16 letters: stepping each word's new suffix
+    # would take tens of thousands of steps.
+    machine = get_entry("onenone-lv-t2").machine
+    words = [word for word, _ in generate("one-none-t2", 16)]
+    assert len(words) == 5832
+    expected = [run_word(machine, word) for word in words]
+    steps = _counted_advance(monkeypatch)
+    assert list(run_many(machine, words)) == expected
+    assert len(steps) < 500
+
+
+@pytest.mark.parametrize(
+    "name, n", [("eq3-p1bca-k4", 7), ("eq-star-p1bca-k3", 9), ("lang-L-p1ca-k3", 6), ("xoreq-q1ca", 4)]
+)
+def test_run_many_steps_once_per_distinct_distribution_and_symbol(monkeypatch, name, n):
+    # One step for ¢, one per distinct (flat content, D) and next symbol,
+    # and one $ step per distinct (flat content, D) a word ends in.
+    entry = get_entry(name)
+    kernel = compiled(entry.machine)
+    words = [word for word, _ in generate(entry.problem, n)]
+    edges, ends = set(), set()
+    for word in words:
+        kept = []
+        advance(kernel, tape_of(word, entry.machine.alphabet)[:-1], keep=kept)
+        contents = [(frozenset(flat(kernel, dist).items()), den) for dist, den in kept]
+        edges.update(zip(contents, word))
+        ends.add(contents[-1])
+    steps = _counted_advance(monkeypatch)
+    list(run_many(entry.machine, words))
+    assert len(steps) == 1 + len(edges) + len(ends)
+
+
 def _steps_as_flat(machine, word):
     """Every (distribution, D) of the grouped loop and of the flat loop,
     which the kernel's own tables passed as ``tables`` select."""
