@@ -35,7 +35,7 @@ from .core import (
     status_of,
     tape_of,
 )
-from .kernel import run_many
+from .kernel import ACCEPT, compiled, run_many
 from .problems import NO, YES, classify_eqstar, classify_xoreq, get_problem, xoreq_word
 from .zoo import ClaimedBounds
 
@@ -347,6 +347,7 @@ def _find_rejecting_path(
     machine: CounterMachine, tape: tuple[str, ...], node_budget: int
 ) -> Optional[tuple[tuple[int, ...], list[Config]]]:
     """Depth-first search for one path ending outside accept-with-zero."""
+    kernel = compiled(machine)
     sys_stack: list[tuple[Config, int, tuple[int, ...]]] = [
         ((machine.initial, 0), 0, ())
     ]
@@ -357,8 +358,7 @@ def _find_rejecting_path(
         if visited > node_budget:
             raise SimulationError(f"path search exceeded the node budget {node_budget}")
         if pos == len(tape):
-            state, counter = config
-            if not (state in machine.accepting and counter == 0):
+            if kernel.kind(kernel.config_id(*config)) != ACCEPT:
                 return choices, _replay(machine, tape, choices)
             continue
         entries = _row(machine, config, tape[pos])
@@ -439,11 +439,12 @@ def pump_u1bca(
     segment = choices[1 + i : 1 + j]
 
     rest_choices = choices[1 + j :]
+    kernel = compiled(machine)
     for copies in (1, 2):
         pumped_word = "a" * (n1 + copies * gap) + word[n1:]
         pumped_choices = choices[: 1 + j] + segment * copies + rest_choices
         final = _replay(machine, tape_of(pumped_word, machine.alphabet), pumped_choices)[-1]
-        if not (final[0] in machine.accepting and final[1] == 0):
+        if kernel.kind(kernel.config_id(*final)) != ACCEPT:
             break
     else:  # unreachable: the two pumped counters cannot both be 0
         raise SimulationError("both pumped paths accept; drift analysis violated")

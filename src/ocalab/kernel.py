@@ -30,14 +30,16 @@ configurations per state, where the flat ``{config: value}`` form of
 
 A step's result depends only on the flat content and ``D`` it starts from,
 however it is grouped, so :func:`run_many` steps each distinct (content, D)
-of a batch once.
+of a batch once.  Its memo is its own prefix index: every word walks the
+memo's ``{symbol: node}`` edges from the node after ``¢``, and the memo
+holds at most ``MEMO_CONFIGS`` entries plus one word's nodes.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .amplitudes import Amplitude
 from .core import (
@@ -170,7 +172,8 @@ class SymbolTable:
 
 
 class Kernel:
-    """A machine compiled for :func:`propagate`; see the module docstring.
+    """``Kernel(machine)`` compiles a machine for :func:`propagate`; see
+    the module docstring.
 
     ``kinds[s]`` is the outcome of state ``s``, and ``unit`` is the value 1
     (int 1, or ``Quad(1)`` for quantum machines).  ``rows`` holds the rows
@@ -182,27 +185,34 @@ class Kernel:
         "names", "ids", "size", "initial", "quantum", "blind", "kinds", "tables", "unit", "rows"
     )
 
-    def __init__(
-        self,
-        names: tuple[str, ...],
-        ids: dict[str, int],
-        initial: str,
-        quantum: bool,
-        blind: bool,
-        kinds: tuple[int, ...],
-        tables: dict[str, SymbolTable],
-    ) -> None:
-        self.names = names
-        self.ids = ids
+    def __init__(self, machine: CounterMachine) -> None:
+        keyed = [key for key in machine.transitions if key[0] != SINK]
+        named = chain(
+            machine.states,
+            (machine.initial,),
+            sorted(machine.accepting),
+            sorted(machine.neutral),
+            (state for state, _, _ in keyed),
+            (target for key in keyed for target, _, _ in machine.transitions[key]),
+        )
+        self.names = names = tuple(dict.fromkeys(name for name in named if name != SINK)) + (SINK,)
+        self.ids = ids = {name: i for i, name in enumerate(names)}
         self.size = len(names)
-        self.initial = ids[initial]
-        self.quantum = quantum
-        self.blind = blind
-        self.kinds = kinds
-        self.tables = tables
-        self.unit = Quad(1) if quantum else 1
+        self.initial = ids[machine.initial]
+        self.quantum = machine.mclass.quantum
+        self.blind = machine.mclass.blind
+        self.kinds = tuple(
+            ACCEPT
+            if name in machine.accepting
+            else NEUTRAL
+            if machine.mclass.las_vegas and name in machine.neutral
+            else REJECT
+            for name in names
+        )
+        self.tables = tables = _tables(machine, ids, machine.transitions.items(), machine.tape_symbols)
+        self.unit = Quad(1) if self.quantum else 1
         self.rows = None
-        if blind and all(t.moves_z == t.moves_nz and t.branch_z == t.branch_nz for t in tables.values()):
+        if self.blind and all(t.moves_z == t.moves_nz and t.branch_z == t.branch_nz for t in tables.values()):
             self.rows = {symbol: _grouped_rows(table, self.size) for symbol, table in tables.items()}
 
     def kind(self, config: int) -> int:
@@ -333,32 +343,6 @@ def _tables(
     return tables
 
 
-def _compile(machine: CounterMachine) -> Kernel:
-    quantum = machine.mclass.quantum
-    keyed = [key for key in machine.transitions if key[0] != SINK]
-    named = chain(
-        machine.states,
-        (machine.initial,),
-        sorted(machine.accepting),
-        sorted(machine.neutral),
-        (state for state, _, _ in keyed),
-        (target for key in keyed for target, _, _ in machine.transitions[key]),
-    )
-    names = tuple(dict.fromkeys(name for name in named if name != SINK)) + (SINK,)
-    ids = {name: i for i, name in enumerate(names)}
-    tables = _tables(machine, ids, machine.transitions.items(), machine.tape_symbols)
-    las_vegas = machine.mclass.las_vegas
-    kinds = tuple(
-        ACCEPT
-        if name in machine.accepting
-        else NEUTRAL
-        if las_vegas and name in machine.neutral
-        else REJECT
-        for name in names
-    )
-    return Kernel(names, ids, machine.initial, quantum, machine.mclass.blind, kinds, tables)
-
-
 def compiled(machine: CounterMachine) -> Kernel:
     """The machine's compiled form, built on first use and cached on it.
 
@@ -367,7 +351,7 @@ def compiled(machine: CounterMachine) -> Kernel:
     """
     kernel = machine.__dict__.get("_kernel")
     if kernel is None:
-        kernel = _compile(machine)
+        kernel = Kernel(machine)
         object.__setattr__(machine, "_kernel", kernel)
     return kernel
 
@@ -582,7 +566,7 @@ def outcome_sums(kernel: Kernel, items: Iterable[tuple[int, object]]) -> tuple[i
         for state, (shift, counts) in items:
             zero = counts.get(-shift, 0)
             sums[REJECT] += sum(counts.values()) - zero
-            sums[kernel.kinds[state]] += zero
+            sums[kernel.kind(state)] += zero
         return tuple(sums)
     kind = kernel.kind
     if kernel.quantum:
@@ -655,19 +639,21 @@ def run_many(machine: CounterMachine, words: Iterable[str]) -> Iterator[Verdict]
     """``run_word`` of every word, yielded lazily and in order.
 
     Each distinct (content, D) reached is one node of a memo that lives
-    only in this call: a node's step on a symbol is taken once and
-    then looked up, and so are its ``$`` step and ``Verdict``.  ``path[i]``
-    is the node after ``¢ + word[:i]``, cut back to where each word leaves
-    the previous one.  Only the symbols past that point are checked, with
-    ``tape_of``'s error for the first bad one.  One ``Verdict`` is built per
-    distinct outcome and shared by every word with that outcome.  Once the
-    memo holds more than ``MEMO_CONFIGS`` entries it is cleared between
-    words and starts again from the current path.
+    only in this call: a node's step on a symbol is taken once and then
+    kept as its edge, and so are its ``$`` step and ``Verdict``.  The memo
+    is keyed by content, so a node's edges are the steps of every prefix
+    that reaches it: each word walks them from the node after ``¢`` and
+    steps only where an edge is missing.  A word with a bad symbol raises
+    ``tape_of``'s error.  One ``Verdict`` object is shared by every word
+    with its value.  Once the memo holds more than ``MEMO_CONFIGS`` entries
+    it is cleared between words down to the ``¢`` node, so it holds at most
+    that many plus one word's nodes.
     """
     kernel = compiled(machine)
     verdict_of = born if kernel.quantum else tally
     allowed = set(machine.alphabet).difference(ENDMARKERS)
-    verdicts: dict[tuple, Verdict] = {}
+    verdicts: dict[tuple, Verdict] = {}  # (sums, D) -> its Verdict
+    shared: dict[Verdict, Verdict] = {}  # one object per value
     memo: dict[tuple, list] = {}  # (content, D) -> [distribution, D, {symbol: node}, verdict]
     frozen: dict[int, tuple] = {}  # id(group dict) -> (dict, least key, items less it)
     held = 0  # entries in the memo: see MEMO_CONFIGS
@@ -694,37 +680,28 @@ def run_many(machine: CounterMachine, words: Iterable[str]) -> Iterator[Verdict]
             held += len(content)
         return found
 
-    path = [node(*advance(kernel, (LEFT_END,)))]
-    prev: Sequence[str] = ""
+    start = node(*advance(kernel, (LEFT_END,)))
     for word in words:
-        common = 0
-        for mine, theirs in zip(word, prev):
-            if mine != theirs:
-                break
-            common += 1
-        new = word[common:]
-        if not allowed.issuperset(new):
-            tape_of(new, machine.alphabet)  # raises for the first bad symbol
-        del path[common + 1 :]
+        if not allowed.issuperset(word):
+            tape_of(word, machine.alphabet)  # raises for the first bad symbol
         if held > MEMO_CONFIGS:
             memo.clear()
             frozen.clear()
             held = 0
-            path = [node(dist, den) for dist, den, _, _ in path]
-        at = path[-1]
-        for symbol in new:
+            start = node(start[0], start[1])
+        at = start
+        for symbol in word:
             step = at[2].get(symbol)
             if step is None:
                 step = at[2][symbol] = node(*advance(kernel, (symbol,), at[0], at[1]))
-            path.append(step)
             at = step
         if at[3] is None:
             dist, den = advance(kernel, (RIGHT_END,), at[0], at[1])
             key = (outcome_sums(kernel, dist.items()), den)
             if key not in verdicts:
-                verdicts[key] = verdict_of(*key)
+                verdict = verdict_of(*key)
+                verdicts[key] = shared.setdefault(verdict, verdict)
             at[3] = verdicts[key]
-        prev = word
         yield at[3]
 
 
@@ -733,11 +710,20 @@ def run_many(machine: CounterMachine, words: Iterable[str]) -> Iterator[Verdict]
 # ---------------------------------------------------------------------------
 
 
-def exact_items(
-    kernel: Kernel, dist: Mapping[tuple[str, int], object]
-) -> tuple[list[tuple[int, object]], int]:
-    """(config, integer value) pairs of a ``Fraction`` distribution or an
-    ``Amplitude`` vector, over their least common denominator."""
+def read_exact(machine: CounterMachine, dist: Mapping[tuple[str, int], object]) -> Verdict:
+    """The verdict of a ``Fraction`` distribution or ``Amplitude`` vector."""
+    kernel = compiled(machine)
+    values, den = from_exact(kernel, dist)
+    items = values.items()
+    if kernel.rows is not None:
+        items = [(config % kernel.size, (0, {config // kernel.size: mass})) for config, mass in items]
+    return read(kernel, items, den)
+
+
+def from_exact(kernel: Kernel, dist: Mapping[tuple[str, int], object]) -> tuple[IntDist, int]:
+    """A ``Fraction`` distribution or ``Amplitude`` vector in compiled form,
+    over its least common denominator; keys that compile to one
+    configuration (unknown state names fall into the sink) add up."""
     if kernel.quantum:
         vector = [(key, Amplitude._coerce(amp)) for key, amp in dist.items()]
         vector = [(key, amp) for key, amp in vector if not amp.is_zero()]
@@ -747,23 +733,9 @@ def exact_items(
         den = lcm(*(mass.denominator for mass in dist.values()))
         items = [(key, _scaled(mass, den)) for key, mass in dist.items()]
     config_id = kernel.config_id
-    return [(config_id(*key), value) for key, value in items], den
-
-
-def read_exact(machine: CounterMachine, dist: Mapping[tuple[str, int], object]) -> Verdict:
-    """The verdict of a ``Fraction`` distribution or ``Amplitude`` vector."""
-    kernel = compiled(machine)
-    items, den = exact_items(kernel, dist)
-    if kernel.rows is not None:
-        items = [(config % kernel.size, (0, {config // kernel.size: mass})) for config, mass in items]
-    return read(kernel, items, den)
-
-
-def from_exact(kernel: Kernel, dist: Mapping[tuple[str, int], object]) -> tuple[IntDist, int]:
-    """A ``Fraction`` distribution or ``Amplitude`` vector in compiled form."""
-    items, den = exact_items(kernel, dist)
     out: IntDist = {}
-    for config, value in items:
+    for key, value in items:
+        config = config_id(*key)
         prev = out.get(config)
         out[config] = value if prev is None else prev + value
     return out, den

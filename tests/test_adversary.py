@@ -375,6 +375,28 @@ def test_whole_pump_refutations_frozen():
         ), (machine.name, word)
 
 
+def test_pump_path_ending_accepting_at_a_nonzero_counter_rejects():
+    # One accepting state that counts the a's: on aabb its one path ends in
+    # s at counter 2, and a blind machine accepts only at counter 0.
+    machine = mk(
+        "u-count-a",
+        "u1bca",
+        "ab",
+        ("s",),
+        "s",
+        ("s",),
+        [
+            ("s", L, "*", [("s", 0, F(1))]),
+            ("s", "a", "*", [("s", 1, F(1))]),
+            ("s", "b", "*", [("s", 0, F(1))]),
+            ("s", R, "*", [("s", 0, F(1))]),
+        ],
+    )
+    ref = pump_u1bca(machine)
+    assert (ref.kind, ref.base_word, ref.witness_word) == ("pumped-reject", "aabb", "aaabb")
+    assert (ref.repeated_state, ref.pump_gap, ref.final_config) == ("s", 1, ("s", 3))
+
+
 def test_pump_witnesses_refute_universal_acceptance():
     for machine in (u_branchy(), u_reject_all()):
         ref = pump_u1bca(machine)

@@ -21,6 +21,7 @@ from ocalab import (
     MachineClass,
     MeasurementError,
     SimulationError,
+    Verdict,
     build_m1,
     build_xoreq_q1ca,
     check_unitarity,
@@ -371,6 +372,17 @@ def test_compiled_xoreq_stays_small():
     assert size < 500_000
 
 
+def test_unknown_state_names_read_as_the_one_sink_configuration():
+    # Keys that compile to one configuration add up before they are read:
+    # masses for a distribution, amplitudes (which interfere) for a vector,
+    # as a step of either already merges them.
+    classical = get_entry("eq3-p1bca-k4").machine
+    assert verdict_of(classical, {("x", 0): F(1, 2), ("y", 0): F(1, 2)}) == Verdict(F(0), F(1))
+    quantum = get_entry("xoreq-q1ca").machine
+    with pytest.raises(MeasurementError, match=r"norm\^2 is 0 "):
+        measure(quantum, {("x", 0): AMP_INV_SQRT2, ("y", 0): -AMP_INV_SQRT2})
+
+
 def test_one_engine_dispatch():
     classical = get_entry("onenone-lv").machine
     quantum = get_entry("xoreq-q1ca").machine
@@ -650,6 +662,29 @@ def test_run_many_steps_each_distinct_distribution_once(monkeypatch):
     steps = _counted_advance(monkeypatch)
     assert list(run_many(machine, words)) == expected
     assert len(steps) < 500
+
+
+@pytest.mark.parametrize("name, n, values", [("eq-star-p1bca-k3", 9, 4), ("lang-L-p1ca-k3", 7, 3)])
+def test_run_many_shares_one_verdict_per_value_across_denominators(name, n, values):
+    # Equal verdicts are reached over different unreduced D here.
+    entry = get_entry(name)
+    words = [word for word, _ in generate(entry.problem, n)]
+    verdicts = list(run_many(entry.machine, words))
+    assert len({id(verdict) for verdict in verdicts}) == len(set(verdicts)) == values
+
+
+@pytest.mark.parametrize(
+    "name, n, calls", [("eq3-p1bca-k4", 7, 500), ("eq-star-p1bca-k3", 9, 352), ("lang-L-p1ca-k3", 6, 274)]
+)
+def test_run_many_steps_do_not_depend_on_word_order(monkeypatch, name, n, calls):
+    entry = get_entry(name)
+    words = [word for word, _ in generate(entry.problem, n)]
+    steps = _counted_advance(monkeypatch)
+    forward = list(run_many(entry.machine, words))
+    assert len(steps) == calls
+    steps.clear()
+    assert list(run_many(entry.machine, words[::-1])) == forward[::-1]
+    assert len(steps) == calls
 
 
 @pytest.mark.parametrize(
