@@ -18,10 +18,11 @@ Three constructive attacks plus an empirical scanner:
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import tee
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from .classical import decide_mode, run
 from .core import (

@@ -82,7 +82,7 @@ def run_trace(
     kernel = _kernel.compiled(machine)
     tape = tape_of(word, machine.alphabet)
     kept: list | None = [] if keep_distributions else None
-    dist, den = _kernel.advance(kernel, tape, keep=kept)
+    dist, den = _kernel.advance_runs(kernel, tape) if kept is None else _kernel.advance(kernel, tape, keep=kept)
     return RunTrace(
         verdict=_kernel.read(kernel, dist.items(), den),
         steps=len(tape),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .amplitudes import AMP_ONE, Amplitude
 
@@ -35,7 +35,7 @@ SINK = "<sink>"
 State = str
 Symbol = str
 Status = str
-Weight = Union[Fraction, Amplitude]
+Weight = Fraction | Amplitude
 TransKey = tuple[State, Symbol, Status]
 TransEntry = tuple[State, int, Weight]
 TransTable = dict[TransKey, tuple[TransEntry, ...]]
@@ -406,11 +406,12 @@ def tape_of(word: Iterable[Symbol] | str, alphabet: Iterable[Symbol]) -> list[Sy
     """
     symbols = list(word)
     allowed = set(alphabet)
-    for sym in symbols:
-        if sym in ENDMARKERS:
-            raise SimulationError(f"input may not contain the endmarker {sym!r}")
-        if sym not in allowed:
-            raise SimulationError(f"input symbol {sym!r} is not in the machine alphabet")
+    if not allowed.difference(ENDMARKERS).issuperset(symbols):
+        for sym in symbols:  # the first bad symbol names the error
+            if sym in ENDMARKERS:
+                raise SimulationError(f"input may not contain the endmarker {sym!r}")
+            if sym not in allowed:
+                raise SimulationError(f"input symbol {sym!r} is not in the machine alphabet")
     return [LEFT_END, *symbols, RIGHT_END]
 
 

@@ -28,6 +28,11 @@ are gathered once.  Machines that read the counter hold a few
 configurations per state, where the flat ``{config: value}`` form of
 :func:`propagate` is cheaper.
 
+:func:`advance_runs` takes the rest of a run of one symbol in one :func:`_jump`
+where every configuration (or group, walking as its state) only moves.  Each
+walks its own moves and skips whole cycles of states: any number if the drift
+is 0 or the rows are grouped, else as many as keep every counter read off 0.
+
 A step's result depends only on the flat content and ``D`` it starts from,
 however it is grouped, so :func:`run_many` steps each distinct (content, D)
 of a batch once.  Its memo is its own prefix index: every word walks the
@@ -37,9 +42,9 @@ holds at most ``MEMO_CONFIGS`` entries plus one word's nodes.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .amplitudes import Amplitude
 from .core import (
@@ -494,15 +499,68 @@ def advance(
                 for target, delta, weight in row:
                     _add(out, owned, target, shift + delta, counts, weight)
             if scale != 1:
-                common = gcd(den, *chain.from_iterable(c.values() for _, c in out.values()))
+                shared = {id(counts): counts for _, counts in out.values()}
+                common = gcd(den, *chain.from_iterable(c.values() for c in shared.values()))
                 if common != 1:
                     den //= common
-                    for state, (shift, counts) in out.items():
-                        out[state] = (shift, {key: mass // common for key, mass in counts.items()})
+                    shared = {key: {k: mass // common for k, mass in c.items()} for key, c in shared.items()}
+                    out = {state: (shift, shared[id(counts)]) for state, (shift, counts) in out.items()}
         dist = out
         if keep is not None:
             keep.append((dist, den))
     return dist, den
+
+
+def advance_runs(kernel: Kernel, tape: Sequence[str]) -> tuple[Groups | IntDist, int]:
+    """:func:`advance` from the initial distribution through ``tape``, taking
+    the rest of each run of three or more equal symbols by :func:`_jump` (the
+    rest of a shorter run is one step, and a one-step walk closes no cycle)."""
+    dist, den, done, end = None, 1, 0, 0
+    for symbol, run in groupby(tape):
+        start, end = end, end + len(list(run))
+        if end - start > 2:
+            dist, den = advance(kernel, tape[done : start + 1], dist, den)
+            jumped = _jump(kernel, kernel.tables[symbol], dist, end - start - 1)
+            dist, done = (dist, start + 1) if jumped is None else (jumped, end)
+    return advance(kernel, tape[done:], dist, den)
+
+
+def _jump(kernel: Kernel, table: SymbolTable, dist: Groups | IntDist, steps: int) -> dict | None:
+    """``dist`` after ``steps`` more moves on ``table``'s symbol, or None if
+    a branching row comes first; see the module docstring."""
+    size, grouped = kernel.size, kernel.rows is not None
+    moves_z, moves_nz = table.moves_z, table.moves_nz
+    out, owned = {}, set()
+    for config, value in dist.items():
+        left, seen, path = steps, {}, []  # seen: state -> its last index in path
+        while left:
+            state = config % size
+            at = seen.get(state)
+            if at is not None:
+                cycles = left // (len(path) - at)
+                drift = (config - path[at]) // size
+                if drift and not grouped:  # no counter drifting toward 0 may reach it
+                    near = [abs(c) for c in (c // size for c in path[at:]) if c * drift <= 0]
+                    cycles = min(cycles, (min(near) - 1) // abs(drift)) if near else cycles
+                if cycles > 0:
+                    config += cycles * drift * size
+                    left -= cycles * (len(path) - at)
+                    seen.clear()
+                    continue  # and read the row where the skip lands
+            seen[state] = len(path)
+            off = (moves_z if config == state else moves_nz)[state]
+            if off is None:
+                return None
+            path.append(config)
+            config += off
+            left -= 1
+        if grouped:  # a group walks as its state; the walk's drift moves its shift
+            _add(out, owned, config % size, value[0] + config // size, value[1], 1)
+        else:
+            out[config] = out[config] + value if config in out else value
+    if kernel.quantum and QZERO in out.values():
+        out = {config: value for config, value in out.items() if value != QZERO}
+    return out
 
 
 def _add(groups: dict, owned: set, key: object, shift: int, counts: dict, weight: int) -> None:
@@ -631,7 +689,7 @@ def run_word(machine: CounterMachine, word: str) -> Verdict:
     machines the Born-rule probabilities of one final measurement.
     """
     kernel = compiled(machine)
-    dist, den = advance(kernel, tape_of(word, machine.alphabet))
+    dist, den = advance_runs(kernel, tape_of(word, machine.alphabet))
     return read(kernel, dist.items(), den)
 
 

@@ -1,11 +1,16 @@
 """Machine model basics: statuses, classes, verdicts, validation, framing."""
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ocalab
 from helpers import F, L, R, mk, table
 from ocalab import (
     AMP_ONE,
@@ -257,3 +262,23 @@ def test_require_valid_raises_with_name():
     with pytest.raises(SimulationError, match="tiny"):
         require_valid(broken)
     require_valid(small_classical())
+
+
+def test_a_fresh_import_lets_the_previous_one_go():
+    # A module-level typing alias over an ocalab class (typing.Union,
+    # typing.Callable) sits in typing's cache and would keep every earlier
+    # import of the package alive, as the benchmark's repeated set-ups do.
+    script = (
+        "import gc, importlib, sys, weakref\n"
+        "import ocalab.adversary\n"
+        "old = [weakref.ref(ocalab.core.Verdict), weakref.ref(ocalab.amplitudes.Amplitude)]\n"
+        "for name in [n for n in sys.modules if n.split('.')[0] == 'ocalab']:\n"
+        "    del sys.modules[name]\n"
+        "del ocalab\n"
+        "importlib.import_module('ocalab.adversary')\n"
+        "gc.collect()\n"
+        "sys.exit(any(ref() is not None for ref in old))\n"
+    )
+    src = str(Path(ocalab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", script], env=env, timeout=60).returncode == 0

@@ -42,7 +42,7 @@ from ocalab import (
     xoreq_word,
     zoo_names,
 )
-from ocalab.kernel import advance, compiled, flat, propagate, run_many, run_word
+from ocalab.kernel import advance, advance_runs, compiled, flat, propagate, run_many, run_word
 from reference import (
     ref_check_unitarity,
     ref_distributions,
@@ -775,3 +775,78 @@ def permutation_q1ca(draw):
 def test_unitarity_window_is_conclusive(machine):
     # The verdict over counters -2m..2m is the verdict over -6m..6m.
     assert check_unitarity(machine).ok == ref_check_unitarity(machine, reach=6).ok
+
+
+# ---------------------------------------------------------------------------
+# A run of one symbol taken in one jump.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def run_words(draw, alphabet):
+    """Words of up to four runs of one symbol, each 1-25 long."""
+    runs = draw(st.lists(st.tuples(st.sampled_from(alphabet), st.integers(1, 25)), max_size=4))
+    return "".join(symbol * length for symbol, length in runs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_machines(), permutation_q1ca()), st.data())
+def test_runs_jump_to_the_per_symbol_result(machine, data):
+    # The same configurations, values and gcd-reduced D as stepping every
+    # symbol, and the reference's verdict.
+    word = data.draw(run_words(machine.alphabet))
+    kernel = compiled(machine)
+    tape = tape_of(word, machine.alphabet)
+    kept = []
+    advance(kernel, tape, keep=kept)
+    dist, den = advance_runs(kernel, tape)
+    assert (flat(kernel, dist), den) == (flat(kernel, kept[-1][0]), kept[-1][1])
+    if machine.mclass.quantum:
+        assert _outcome(run_word, machine, word) == _outcome(ref_run_quantum, machine, word)
+    else:
+        assert run_word(machine, word) == ref_run(machine, word)
+        trace = run_trace(machine, word, keep_distributions=True)
+        assert run_trace(machine, word).final == trace.distributions[-1]
+
+
+def test_a_skip_that_lands_on_counter_zero_reads_the_zero_row():
+    # On 'a' the nonzero rows cycle p0 -> p1 -> p2 -> p0, losing 1 on the
+    # way to p1; at counter 0, p1 goes to q and p0, p2 go to r.  After b^k
+    # the run walks from p1 at counter k - 1 and skips cycles until it lands
+    # on p1 at counter 0, where only the zero row leads to q.  After 'c' it
+    # walks from p2 and reaches 0 in the middle of a cycle.
+    rows = [
+        ("p0", L, "*", [("p0", 0, F(1))]),
+        ("p0", "b", "*", [("p0", 1, F(1))]),
+        ("p0", "c", "*", [("p1", 0, F(1))]),
+        ("p0", "a", "NZ", [("p1", -1, F(1))]),
+        ("p1", "a", "NZ", [("p2", 0, F(1))]),
+        ("p2", "a", "NZ", [("p0", 0, F(1))]),
+        ("p0", "a", "Z", [("r", 0, F(1))]),
+        ("p1", "a", "Z", [("q", 0, F(1))]),
+        ("p2", "a", "Z", [("r", 0, F(1))]),
+        ("q", "a", "*", [("q", 0, F(1))]),
+        ("r", "a", "*", [("r", 0, F(1))]),
+        *((state, R, "*", [(state, 0, F(1))]) for state in ("p0", "p1", "p2", "q", "r")),
+    ]
+    states = ("p0", "p1", "p2", "q", "r")
+    machine = mk("landing", "d1ca", "abc", states, "p0", ("q",), rows)
+    assert run_word(machine, "bbbb" + "a" * 10).accept == 0  # on p1 at counter 0
+    assert run_word(machine, "bbbb" + "a" * 11).accept == 1
+    for prefix in ("b" * k + c for k in range(7) for c in ("", "c")):
+        for n in range(1, 31):
+            word = prefix + "a" * n
+            assert run_word(machine, word) == ref_run(machine, word), word
+
+
+def test_long_words_jump_to_the_reference():
+    eqstar = get_entry("eq-star-p1bca-k3").machine
+    eqstar_word = "a" + "".join("ab"[(7 * i * i + 3 * i) % 5 < 2] for i in range(199))
+    eq3 = get_entry("eq3-p1bca-k4").machine
+    for machine, word in ((eqstar, eqstar_word), (eq3, "c" * 150 + "d" * 150 + "e" * 151)):
+        assert run_word(machine, word) == ref_run(machine, word)
+    xoreq = get_entry("xoreq-q1ca").machine
+    for blocks, accept in (((18, 26, 46, 58, 2, 1, 13, 8), 0), ((72, 38, 72, 20, 1, 5, 1, 15), 1)):
+        word = xoreq_word(*blocks)
+        assert run_word(xoreq, word) == ref_run_quantum(xoreq, word)
+        assert run_word(xoreq, word).accept == accept
