@@ -40,7 +40,7 @@ from .classical import sample_run
 from .core import CounterMachine, EngineError, Verdict
 from .dsl import emit, parse_with_diagnostics
 from .kernel import run_many, run_word
-from .problems import get_problem
+from .problems import NO, YES, get_problem
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -198,10 +198,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             if rule is not None and rule(label, verdict) is not None:
                 violated = True
             max_dontknow = max(max_dontknow, verdict.neutral)
-            if label == "yes" and (min_yes is None or verdict.accept < min_yes):
+            if label == YES and (min_yes is None or verdict.accept < min_yes):
                 min_yes = verdict.accept
                 worst = (word, label)
-            if label == "no" and (max_no is None or verdict.accept > max_no):
+            if label == NO and (max_no is None or verdict.accept > max_no):
                 max_no = verdict.accept
                 if min_yes is None:
                     worst = (word, label)

@@ -614,8 +614,8 @@ def outcome_sums(kernel: Kernel, items: Iterable[tuple[int, object]]) -> tuple[i
     """The integer sums a verdict is read from, over the final distribution's
     items in the kernel's own form: (config, value), or (state, group).
 
-    Classical: the (reject, accept, neutral) masses; in a blind machine's
-    group the accept or neutral mass is the entry at counter 0.  Quantum:
+    Classical: the (reject, accept, neutral) masses by ``Kernel.kind``; a
+    group's mass at counter 0 is read at its state, the rest at counter 1.  Quantum:
     the rational and sqrt2 parts of the total norm, then of the accepting
     norm.
     """
@@ -623,7 +623,7 @@ def outcome_sums(kernel: Kernel, items: Iterable[tuple[int, object]]) -> tuple[i
         sums = [0, 0, 0]
         for state, (shift, counts) in items:
             zero = counts.get(-shift, 0)
-            sums[REJECT] += sum(counts.values()) - zero
+            sums[kernel.kind(state + kernel.size)] += sum(counts.values()) - zero
             sums[kernel.kind(state)] += zero
         return tuple(sums)
     kind = kernel.kind

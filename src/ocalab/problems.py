@@ -260,9 +260,8 @@ def _gen_onenone(t: int, n: int) -> Iterator[Instance]:
 
 
 def classify_eqstar(word: str) -> bool:
-    """Member of the closure of {a^n b^n | n > 0} (empty string included)."""
-    if set(word) - {"a", "b"}:
-        return False
+    """Member of the closure of {a^n b^n | n > 0} (empty string included);
+    any other letter cuts a block short or starts one with no a's."""
     pos = 0
     while pos < len(word):
         a_run = 0
@@ -287,8 +286,6 @@ def classify_eqstar_complement(word: str) -> bool:
 
 def classify_eq3(word: str) -> bool:
     """Member of {c^n d^n e^n | n >= 0}."""
-    if set(word) - {"c", "d", "e"}:
-        return False
     n, rem = divmod(len(word), 3)
     return rem == 0 and word == "c" * n + "d" * n + "e" * n
 
@@ -303,7 +300,7 @@ def classify_L(word: str) -> bool:
         return True
     chars = set(word)
     if chars <= {"a", "b"}:
-        return classify_eqstar_complement(word)
+        return not classify_eqstar(word)
     if chars <= {"c", "d", "e"}:
         return classify_eq3(word)
     return False

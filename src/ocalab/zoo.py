@@ -64,8 +64,8 @@ class ClaimedBounds:
     def violation(self, label: str, verdict: Verdict, las_vegas: bool = False) -> str | None:
         """Why ``verdict`` on an instance labelled ``label`` breaks these bounds, or None.
 
-        With ``las_vegas`` set, a verdict that both accepts and rejects, or
-        rejects a yes-instance, breaks them too.
+        With ``las_vegas`` set, a verdict that both accepts and rejects,
+        rejects a yes-instance or accepts a no-instance breaks them too.
         """
         if verdict.neutral > self.dontknow_max:
             return f"dontknow {verdict.neutral} exceeds bound {self.dontknow_max}"
@@ -76,8 +76,11 @@ class ClaimedBounds:
                 return f"accept {verdict.accept} below claimed yes-bound {self.accept_on_yes_min}"
             if las_vegas and verdict.reject > 0:
                 return f"reject probability {verdict.reject} on a yes-instance"
-        if label == NO and verdict.accept > self.accept_on_no_max:
-            return f"accept {verdict.accept} above claimed no-bound {self.accept_on_no_max}"
+        if label == NO:
+            if verdict.accept > self.accept_on_no_max:
+                return f"accept {verdict.accept} above claimed no-bound {self.accept_on_no_max}"
+            if las_vegas and verdict.accept > 0:
+                return f"accept probability {verdict.accept} on a no-instance"
         return None
 
 

@@ -417,6 +417,40 @@ def test_batch_holds_las_vegas_machines_to_soundness_as_brute_does(
     )
 
 
+def test_batch_and_brute_refute_a_las_vegas_machine_that_accepts_everything(
+    tmp_path, capsys, monkeypatch
+):
+    # Never rejects or says dontknow, so only the no-instance check can
+    # refute it under a no-bound of 1.
+    yes_man = mk(
+        "lv-yes",
+        "lv-p1ca",
+        "ab",
+        ("acc",),
+        "acc",
+        ("acc",),
+        [("acc", symbol, "*", [("acc", 0, F(1))]) for symbol in (L, "a", "b", R)],
+    )
+    entry = zoo.ZooEntry(
+        "lv-yes", yes_man, "eq-star", zoo.ClaimedBounds(F(0), F(1), F(1)), "accepts everything"
+    )
+    real = zoo.get_entry
+    monkeypatch.setattr(zoo, "get_entry", lambda name: entry if name == "lv-yes" else real(name))
+
+    code, report, captured = run_batch(tmp_path, capsys, "--zoo", "lv-yes", "--max-n", "2")
+    assert code == EXIT_INVALID
+    assert report is not None
+    assert captured.err.startswith("claimed bounds violated for lv-yes: ")
+
+    path = tmp_path / "lv-yes.cma"
+    path.write_text(emit(yes_man), encoding="utf-8")
+    for argv in (["lv-yes"], [str(path), "--problem", "eq-star"]):
+        assert main(["adversary", "brute", *argv, "--max-n", "2"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["label"] == "no"
+        assert payload["reason"] == "accept probability 1 on a no-instance"
+
+
 # ---------------------------------------------------------------------------
 # adversary
 # ---------------------------------------------------------------------------

@@ -191,6 +191,18 @@ def test_las_vegas_claim_refuses_reject_on_yes():
     )
 
 
+def test_las_vegas_claim_refuses_accept_on_no():
+    verdict = Verdict(F(1), F(0), F(0))
+    loose = ClaimedBounds(F(0), F(1), F(1))
+    assert loose.violation("no", verdict) is None
+    assert loose.violation("no", verdict, las_vegas=True) == "accept probability 1 on a no-instance"
+    # a no-bound of 0 is broken first, with its own message
+    assert (
+        ClaimedBounds(F(0), F(0), F(1)).violation("no", verdict, las_vegas=True)
+        == "accept 1 above claimed no-bound 0"
+    )
+
+
 def test_probabilistic_class_has_no_modal_reading():
     with pytest.raises(ValueError, match="p1ca has no modal reading"):
         MachineClass.P1CA.decides_yes(F(1))

@@ -170,6 +170,15 @@ def test_classify_eq3_table():
     assert not classify_eq3("cdea")
 
 
+@pytest.mark.parametrize("word", ["xab", "abx", "aaxbb", "xcde", "cdxe", "cdex"])
+def test_a_stray_letter_anywhere_is_in_no_block_language(word):
+    # before, inside and after a block: each oracle's own scan rejects it
+    assert not classify_eqstar(word)
+    assert not classify_eqstar_complement(word)
+    assert not classify_eq3(word)
+    assert not classify_L(word)
+
+
 def test_classify_L_table():
     assert classify_L("")
     assert classify_L("ba")
