@@ -29,9 +29,9 @@ configurations per state, where the flat ``{config: value}`` form of
 :func:`propagate` is cheaper.
 
 :func:`advance_runs` takes the rest of a run of one symbol in one :func:`_jump`
-where every configuration (or group, walking as its state) only moves.  Each
-walks its own moves and skips whole cycles of states: any number if the drift
-is 0 or the rows are grouped, else as many as keep every counter read off 0.
+where the symbol's rows never read the counter and every configuration (or
+group, walking as its state) only moves.  Each walks its own states, skips
+every whole cycle that fits and takes the rest off its walk so far.
 
 A step's result depends only on the flat content and ``D`` it starts from,
 however it is grouped, so :func:`run_many` steps each distinct (content, D)
@@ -150,23 +150,18 @@ class SymbolTable:
     ``moves_z[s]``/``moves_nz[s]`` hold the move offset of state ``s`` on a
     zero / nonzero counter, or None when the row branches; the branching
     rows are in ``branch_z``/``branch_nz``, weights over ``den``.
+    ``reads_counter`` is whether some zero row differs from its nonzero row.
     """
 
-    __slots__ = ("moves_z", "moves_nz", "branch_z", "branch_nz", "den")
+    __slots__ = ("moves_z", "moves_nz", "branch_z", "branch_nz", "den", "reads_counter")
 
-    def __init__(
-        self,
-        moves_z: list,
-        moves_nz: list,
-        branch_z: dict[int, Branches],
-        branch_nz: dict[int, Branches],
-        den: int,
-    ) -> None:
+    def __init__(self, moves_z: list, moves_nz: list, branch_z: dict, branch_nz: dict, den: int) -> None:
         self.moves_z = moves_z
         self.moves_nz = moves_nz
         self.branch_z = branch_z
         self.branch_nz = branch_nz
         self.den = den
+        self.reads_counter = moves_z != moves_nz or branch_z != branch_nz
 
     def branches(self, state: int, zero: bool, unit: object) -> Branches:
         """The row of ``state`` as branches, a move given weight ``unit``."""
@@ -217,7 +212,7 @@ class Kernel:
         self.tables = tables = _tables(machine, ids, machine.transitions.items(), machine.tape_symbols)
         self.unit = Quad(1) if self.quantum else 1
         self.rows = None
-        if self.blind and all(t.moves_z == t.moves_nz and t.branch_z == t.branch_nz for t in tables.values()):
+        if self.blind and not any(table.reads_counter for table in tables.values()):
             self.rows = {symbol: _grouped_rows(table, self.size) for symbol, table in tables.items()}
 
     def kind(self, config: int) -> int:
@@ -513,8 +508,8 @@ def advance(
 
 def advance_runs(kernel: Kernel, tape: Sequence[str]) -> tuple[Groups | IntDist, int]:
     """:func:`advance` from the initial distribution through ``tape``, taking
-    the rest of each run of three or more equal symbols by :func:`_jump` (the
-    rest of a shorter run is one step, and a one-step walk closes no cycle)."""
+    the rest of each run of three or more equal symbols in one :func:`_jump`
+    unless it refuses (a shorter run's rest is one step and closes no cycle)."""
     dist, den, done, end = None, 1, 0, 0
     for symbol, run in groupby(tape):
         start, end = end, end + len(list(run))
@@ -527,28 +522,23 @@ def advance_runs(kernel: Kernel, tape: Sequence[str]) -> tuple[Groups | IntDist,
 
 def _jump(kernel: Kernel, table: SymbolTable, dist: Groups | IntDist, steps: int) -> dict | None:
     """``dist`` after ``steps`` more moves on ``table``'s symbol, or None if
-    a branching row comes first; see the module docstring."""
-    size, grouped = kernel.size, kernel.rows is not None
-    moves_z, moves_nz = table.moves_z, table.moves_nz
+    its rows read the counter or a branching row comes first; see the module
+    docstring."""
+    if table.reads_counter:
+        return None
+    size, grouped, moves = kernel.size, kernel.rows is not None, table.moves_z
     out, owned = {}, set()
     for config, value in dist.items():
-        left, seen, path = steps, {}, []  # seen: state -> its last index in path
+        left, seen, path = steps, {}, []  # seen: state -> its index in path
         while left:
             state = config % size
             at = seen.get(state)
             if at is not None:
-                cycles = left // (len(path) - at)
-                drift = (config - path[at]) // size
-                if drift and not grouped:  # no counter drifting toward 0 may reach it
-                    near = [abs(c) for c in (c // size for c in path[at:]) if c * drift <= 0]
-                    cycles = min(cycles, (min(near) - 1) // abs(drift)) if near else cycles
-                if cycles > 0:
-                    config += cycles * drift * size
-                    left -= cycles * (len(path) - at)
-                    seen.clear()
-                    continue  # and read the row where the skip lands
+                cycles, left = divmod(left, len(path) - at)
+                config += cycles * (config - path[at]) + path[at + left] - path[at]
+                break
             seen[state] = len(path)
-            off = (moves_z if config == state else moves_nz)[state]
+            off = moves[state]
             if off is None:
                 return None
             path.append(config)
@@ -782,6 +772,10 @@ def from_exact(kernel: Kernel, dist: Mapping[tuple[str, int], object]) -> tuple[
     """A ``Fraction`` distribution or ``Amplitude`` vector in compiled form,
     over its least common denominator; keys that compile to one
     configuration (unknown state names fall into the sink) add up."""
+    exact = (int, Fraction, Amplitude) if kernel.quantum else (int, Fraction)
+    for key, value in dist.items():
+        if not isinstance(value, exact):
+            raise SimulationError(f"{key!r} holds {value!r}, not one of {', '.join(t.__name__ for t in exact)}")
     if kernel.quantum:
         vector = [(key, Amplitude._coerce(amp)) for key, amp in dist.items()]
         vector = [(key, amp) for key, amp in vector if not amp.is_zero()]

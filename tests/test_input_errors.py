@@ -14,10 +14,14 @@ from ocalab import (
     Verdict,
     classify_onenone_t,
     emit,
+    evolve,
     get_entry,
+    measure,
     parse_with_diagnostics,
     require_valid,
+    step,
     validate_machine,
+    verdict_of,
 )
 from ocalab.adversary import FoolingPair, fool_xoreq_d1ca
 from ocalab.cli import EXIT_INVALID, main
@@ -164,6 +168,20 @@ def test_require_valid_counts_what_it_does_not_show():
 def test_kernel_rejects_float_weights(tag, message):
     with pytest.raises(SimulationError, match=message):
         run_word(one_state(tag, 1.0), "a")
+
+
+def test_exact_edges_refuse_inexact_values():
+    m1 = get_entry("m1").machine
+    xoreq = get_entry("xoreq-q1ca").machine
+    calls = (
+        (lambda: step(m1, {("q1", 0): 0.5}, "0"), r"\('q1', 0\) holds 0.5, not one of int, Fraction$"),
+        (lambda: verdict_of(m1, {("q1", 0): 0.5}), r"\('q1', 0\) holds 0.5, not one of int, Fraction$"),
+        (lambda: evolve(xoreq, {("q0", 0): 0.5}, "0"), r"\('q0', 0\) holds 0.5, not one of int, Fraction, Amplitude$"),
+        (lambda: measure(xoreq, {("q0", 0): "x"}), r"\('q0', 0\) holds 'x', not one of int, Fraction, Amplitude$"),
+    )
+    for call, message in calls:
+        with pytest.raises(SimulationError, match=message):
+            call()
 
 
 # ---------------------------------------------------------------------------

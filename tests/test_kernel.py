@@ -839,6 +839,23 @@ def test_a_skip_that_lands_on_counter_zero_reads_the_zero_row():
             assert run_word(machine, word) == ref_run(machine, word), word
 
 
+def test_a_jump_drops_paths_that_cancel_exactly():
+    # t and u carry opposite amplitudes and both reach v on the second 'a',
+    # inside the jump: the exact zero is dropped and the norm check fails.
+    s = AMP_INV_SQRT2
+    rows = [
+        ("s", L, "*", [("t", 0, s), ("u", 0, -s)]),
+        *((state, "a", "*", [(target, 0, AMP_ONE)])
+          for state, target in (("t", "t1"), ("u", "u1"), ("t1", "v"), ("u1", "v"), ("v", "v"))),
+    ]
+    machine = mk("cancel", "q1ca", "a", ("s", "t", "u", "t1", "u1", "v"), "s", (), rows)
+    kernel = compiled(machine)
+    tape = tape_of("aaaa", machine.alphabet)
+    assert advance_runs(kernel, tape) == advance(kernel, tape) == ({}, 2)
+    expected = ("MeasurementError", "state vector norm^2 is 0 + 0*sqrt2, expected exactly 1")
+    assert _outcome(run_word, machine, "aaaa") == _outcome(ref_run_quantum, machine, "aaaa") == expected
+
+
 def test_long_words_jump_to_the_reference():
     eqstar = get_entry("eq-star-p1bca-k3").machine
     eqstar_word = "a" + "".join("ab"[(7 * i * i + 3 * i) % 5 < 2] for i in range(199))

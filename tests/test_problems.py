@@ -117,6 +117,8 @@ def test_classify_onenone_t_outside_cases():
     assert classify_onenone_t("adaabdddadad", 2) == OUTSIDE  # one/none/one/one
     assert classify_onenone_t("adaabddd", 2) == OUTSIDE  # a yes-word for the wrong t
     assert classify_onenone_t("xyz", 1) == OUTSIDE
+    assert classify_onenone_t("abcdddaabddd", 1) == OUTSIDE  # first block neither ONE nor NONE
+    assert classify_onenone_t("adabcddd", 1) == OUTSIDE  # second block neither ONE nor NONE
 
 
 # ---------------------------------------------------------------------------
