@@ -9,10 +9,11 @@ Commands:
 - ``batch <file.cma|--zoo <name>> --problem <p> --max-n <n> --out <json>``:
   per-instance verdicts plus exact summary aggregates; exit 0 iff the
   machine's claimed bounds (when a zoo machine) hold over the batch, and
-  2 without a report when the bound admits no instance at all.
+  2 without a report when the bound admits no instance at all or passes
+  the lengths a zoo claim covers.
 - ``adversary <fool-xoreq|pump-u1bca|brute> <file.cma|zoo-name> ...``:
   constructive or empirical refutations as JSON; ``brute`` exits 2, as
-  ``batch`` does, when the bound admits no instance.
+  ``batch`` does, when the bound admits no instance or passes the claim.
 - ``zoo <list|emit <name> [--out <file>]>``: stable machine registry.
 
 Exit codes: 0 success, 1 I/O error (a reader that closes stdout early
@@ -128,11 +129,19 @@ def _load_machine(ref: str) -> tuple[CounterMachine, Optional[zoo_mod.ZooEntry]]
     return entry.machine, entry
 
 
-def _claim_rule(entry: Optional[zoo_mod.ZooEntry]) -> Optional[adversary_mod.Rule]:
-    """A zoo machine's claim check, Las Vegas soundness included; None for a file."""
+def _claim_rule(entry: Optional[zoo_mod.ZooEntry], max_n: int) -> Optional[adversary_mod.Rule]:
+    """A zoo machine's claim check, Las Vegas soundness included; None for a file.
+
+    A bound past the lengths the claim covers is a usage error."""
     if entry is None:
         return None
-    return adversary_mod.bounds_rule(entry.claimed_bounds, las_vegas=entry.machine.mclass.las_vegas)
+    bounds = entry.claimed_bounds
+    if bounds.max_n is not None and max_n > bounds.max_n:
+        raise _CliError(
+            f"{entry.name} claims its bounds for n <= {bounds.max_n} only, not --max-n {max_n}",
+            EXIT_INVALID,
+        )
+    return adversary_mod.bounds_rule(bounds, las_vegas=entry.machine.mclass.las_vegas)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -178,9 +187,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     problem_name = args.problem or (entry.problem if entry else None)
     if problem_name is None:
         raise _CliError("--problem is required for file machines", EXIT_INVALID)
+    rule = _claim_rule(entry, args.max_n)
     instances, words = tee(get_problem(problem_name).instances(args.max_n))
-
-    rule = _claim_rule(entry)
     violated = False
     records = []
     min_yes: Optional[Fraction] = None
@@ -268,9 +276,10 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         raise _CliError("brute needs --problem (or a zoo machine)", EXIT_INVALID)
     if args.max_n is None:
         raise _CliError("brute needs --max-n", EXIT_INVALID)
+    rule = _claim_rule(entry, args.max_n)
     if next(get_problem(problem_name).instances(args.max_n), None) is None:
         raise _no_instances(problem_name, args.max_n)
-    result = adversary_mod.brute_refute(machine, problem_name, args.max_n, _claim_rule(entry))
+    result = adversary_mod.brute_refute(machine, problem_name, args.max_n, rule)
     if result is None:
         print(
             f"no refutation: {machine.name} is consistent with "

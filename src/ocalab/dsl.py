@@ -3,9 +3,8 @@
 The format is line oriented.  ``#`` starts a comment, so the tape symbol
 ``#`` is written with the alias token ``HASH``; likewise the endmarkers are
 written ``LEND`` and ``REND``.  Whitespace separates tokens, and ``,``,
-``@``, ``*`` and ``->`` are tokens of their own, so they need no spaces;
-a word runs up to whitespace, ``,``, ``@`` or ``*``, so a word right
-before ``->`` needs a space between them (``Z ->``).  Diagnostics point at 1-based ``line:col``
+``@``, ``*`` and ``->`` are tokens of their own, so they need no spaces
+and no name may contain them.  Diagnostics point at 1-based ``line:col``
 spans.  Directives:
 
     machine <id>
@@ -60,7 +59,10 @@ _SYMBOL_ALIASES = {"LEND": LEFT_END, "REND": RIGHT_END, "HASH": "#"}
 _SYMBOL_NAMES = {v: k for k, v in _SYMBOL_ALIASES.items()}
 _RESERVED_TOKENS = set(_SYMBOL_ALIASES) | {"Z", "NZ", "trans", "->", ",", "@", "*"}
 
-_TOKEN_RE = re.compile(r"->|[,@*]|[^\s,@*]+")
+# A word runs up to whitespace, ``,``, ``@``, ``*`` or ``->``.
+_TOKEN_RE = re.compile(
+    r"->|[,@*]|[^\s,@*-]+(?:-(?!>)[^\s,@*-]*)*|-(?!>)[^\s,@*-]*(?:-(?!>)[^\s,@*-]*)*"
+)
 
 
 @dataclass(frozen=True)
@@ -471,7 +473,7 @@ def _check_emittable(machine: CounterMachine) -> None:
         token = _symbol_token(sym)
         if token in _RESERVED_TOKENS and sym not in _SYMBOL_NAMES:
             raise EngineError(f"symbol {sym!r} collides with a reserved token")
-        if not _TOKEN_RE.fullmatch(token) or token != _TOKEN_RE.match(token).group(0):
+        if not _TOKEN_RE.fullmatch(token):
             raise EngineError(f"symbol {sym!r} cannot be written in the text format")
     for state in machine.states:
         if state in _RESERVED_TOKENS or not _TOKEN_RE.fullmatch(state):

@@ -291,10 +291,9 @@ def _tables(
             hit = known[id(weight)] = (parts, parts == one)
         return hit
 
-    # Moves are stored as interned offsets, the sink's offset by default.
+    # Moves are stored as offsets, the sink's offset by default.
     default = [sink - state for state in range(size)]
     default[sink] = 0
-    interned = {off: off for off in default}
     moves = {symbol: (list(default), list(default)) for symbol in symbols}
     branching: dict[str, list] = {symbol: [] for symbol in moves}
     for (state, symbol, status), row in rows:
@@ -304,8 +303,7 @@ def _tables(
         zero = status == Z
         if len(row) == 1 and parts_of(row[0][2])[1]:
             target, delta, _ = row[0]
-            off = delta * size + ids[target] - source
-            moves[symbol][0 if zero else 1][source] = interned.setdefault(off, off)
+            moves[symbol][0 if zero else 1][source] = delta * size + ids[target] - source
             continue
         branches = [
             (delta * size + ids[target] - source, parts_of(weight)[0])
@@ -313,32 +311,23 @@ def _tables(
         ]
         if quantum:  # a zero amplitude contributes nothing
             branches = [branch for branch in branches if any(branch[1])]
-        branching[symbol].append((source, zero, row, branches))
+        branching[symbol].append((source, zero, branches))
 
-    # Both statuses of a blind row share one compiled row; equal weights
-    # share one object.
-    shared: dict[tuple[int, int, int], Branches] = {}
-    weights: dict[object, object] = {}
     tables = {}
     for symbol, (moves_z, moves_nz) in moves.items():
         rows = branching[symbol]
         den = lcm(
-            *(part.denominator for _, _, _, branches in rows for _, parts in branches for part in parts)
+            *(part.denominator for _, _, branches in rows for _, parts in branches for part in parts)
         )
         branch_z: dict[int, Branches] = {}
         branch_nz: dict[int, Branches] = {}
 
         def weight_of(parts: tuple[Fraction, ...]) -> object:
-            weight = Quad(*(_scaled(p, den) for p in parts)) if quantum else _scaled(parts[0], den)
-            return weights.setdefault(weight, weight)
+            return Quad(*(_scaled(p, den) for p in parts)) if quantum else _scaled(parts[0], den)
 
-        for source, zero, row, branches in rows:
-            compiled_row = shared.get((source, id(row), den))
-            if compiled_row is None:
-                compiled_row = tuple((off, weight_of(parts)) for off, parts in branches)
-                shared[(source, id(row), den)] = compiled_row
+        for source, zero, branches in rows:
             (moves_z if zero else moves_nz)[source] = None
-            (branch_z if zero else branch_nz)[source] = compiled_row
+            (branch_z if zero else branch_nz)[source] = tuple((off, weight_of(parts)) for off, parts in branches)
         tables[symbol] = SymbolTable(moves_z, moves_nz, branch_z, branch_nz, den)
     return tables
 

@@ -231,8 +231,6 @@ def _blocks_within(vocabs: list[list[str]], budget: int) -> Iterator[tuple[str, 
     if not vocabs:
         yield ()
         return
-    if not all(vocabs):
-        return
     head, rest = vocabs[0], vocabs[1:]
     least_rest = sum(min(map(len, vocab)) for vocab in rest)
     for u in head:

@@ -54,12 +54,14 @@ class ClaimedBounds:
     ``accept_on_yes_min`` lower-bounds the accept probability on every
     yes-instance, ``accept_on_no_max`` upper-bounds it on every
     no-instance, and ``dontknow_max`` upper-bounds the neutral mass on
-    both sides.
+    both sides.  ``max_n`` is the largest instance length the claim
+    covers, None for every length.
     """
 
     accept_on_yes_min: Fraction
     accept_on_no_max: Fraction
     dontknow_max: Fraction
+    max_n: int | None = None
 
     def violation(self, label: str, verdict: Verdict, las_vegas: bool = False) -> str | None:
         """Why ``verdict`` on an instance labelled ``label`` breaks these bounds, or None.
@@ -685,7 +687,7 @@ _FAMILIES = (
     ("m2", build_m2, "xor-eq", lambda: ClaimedBounds(_ZERO, _ONE, _ZERO),
      "deterministic comparator of the second and fourth 0-blocks; "
      "solves only half of XOR-EQ (vacuous bounds)"),
-    ("xoreq-q1ca", build_xoreq_q1ca, "xor-eq", lambda: ClaimedBounds(_ONE, _ZERO, _ZERO),
+    ("xoreq-q1ca", build_xoreq_q1ca, "xor-eq", lambda: ClaimedBounds(_ONE, _ZERO, _ZERO, max_n=11),
      "exact quantum XOR of two block equalities"),
     (rf"onenone-lv(?:-t{_NUM})?", build_onenone_lv_t, "one-none-t{}",
      lambda t: ClaimedBounds(1 - Fraction(2, 3) ** t, _ZERO, Fraction(2, 3) ** t),

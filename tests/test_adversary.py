@@ -82,6 +82,17 @@ def test_analyze_cycle_rejects_zero_crossings():
         analyze_cycle(det_decrement(), ("q", 2), "a")
 
 
+def test_analyze_cycle_past_the_declared_states_finds_no_repeat():
+    # The rows walk s -> u -> v -> w through states the machine never
+    # declares, so its 2|Q|-step horizon ends before any state repeats.
+    walk = mk(
+        "walk", "d1ca", "a", ("s",), "s", (),
+        [(p, "a", "*", [(q, 0, F(1))]) for p, q in ("su", "uv", "vw")],
+    )
+    with pytest.raises(SimulationError, match="no state repetition found; horizon too short"):
+        analyze_cycle(walk, ("s", 1), "a")
+
+
 def test_analyze_cycle_rejects_bad_symbols(complement):
     with pytest.raises(SimulationError, match="not on this machine's tape"):
         analyze_cycle(complement, ("inA", 1), "z")
@@ -331,6 +342,11 @@ def test_pump_accepts_member_cases():
         assert ref.witness_word == "aabb"
         assert classify_eqstar(ref.witness_word)  # accepted member of the language
         assert run(machine, ref.witness_word).accept == 1
+
+
+def test_pump_refuses_a_base_word_outside_the_language():
+    with pytest.raises(EngineError, match=r"^base word must be a member of \(a\^n b\^n\)\*$"):
+        pump_u1bca(u_updown(), word="aab")
 
 
 def test_pump_pumped_reject_cases():

@@ -61,6 +61,16 @@ def test_mixed_operand_coercion():
         AMP_ONE + "x"
 
 
+def test_foreign_operands_are_not_implemented():
+    with pytest.raises(TypeError):
+        AMP_ONE - "x"
+    with pytest.raises(TypeError):
+        "x" - AMP_ONE
+    with pytest.raises(TypeError):
+        AMP_ONE * "x"
+    assert (AMP_ONE == "x") is False
+
+
 def test_abs2_examples():
     assert AMP_INV_SQRT2.abs2() == (F(1, 2), F(0))
     assert Amplitude(F(1, 4), F(1, 4)).abs2() == (F(3, 16), F(1, 8))

@@ -175,18 +175,33 @@ def test_batch_report_bytes_are_deterministic(tmp_path, capsys):
     assert text.index('"instances"') < text.index('"machine"') < text.index('"problem"')
 
 
-# sha256 of two reports as json.dumps(report, sort_keys=True, indent=2,
-# ensure_ascii=False) wrote them whole; the xoreq-q1ca one breaks its claim.
+# sha256 of reports as json.dumps(report, sort_keys=True, indent=2,
+# ensure_ascii=False) wrote them whole; the xoreq-q1ca-every-n one breaks
+# its claim.
 REPORT_DIGESTS = {
     ("onenone-lv-t1", 12): "baf5e18cc961ac9a3358189c373b3167991e84edd3d6ded2508c1dc78f11ab9c",
-    ("xoreq-q1ca", 12): "40213c36b4c99435a5abc90579a01945c02dcd25fd8473055f5817a5a831676d",
+    ("xoreq-q1ca", 11): "8ac3d24d357e2d49a7f5d4a1f3fe7cae415697fd0ea7a6ba6b08589c4a4b1720",
+    ("xoreq-q1ca-every-n", 12): "40213c36b4c99435a5abc90579a01945c02dcd25fd8473055f5817a5a831676d",
 }
 
 
 @pytest.mark.parametrize(
-    "name, n, violated", [("m1", 4, False), ("onenone-lv-t1", 12, False), ("xoreq-q1ca", 12, True)]
+    "name, n, violated",
+    [
+        ("m1", 4, False),
+        ("onenone-lv-t1", 12, False),
+        ("xoreq-q1ca", 11, False),
+        ("xoreq-q1ca-every-n", 12, True),
+    ],
 )
-def test_batch_report_bytes_are_json_dumps(tmp_path, capsys, name, n, violated):
+def test_batch_report_bytes_are_json_dumps(tmp_path, capsys, monkeypatch, name, n, violated):
+    if name == "xoreq-q1ca-every-n":
+        # xoreq-q1ca claiming 1 / 0 / 0 at every n, false from n = 12.
+        real = zoo.get_entry
+        entry = zoo.ZooEntry(
+            name, real("xoreq-q1ca").machine, "xor-eq", zoo.ClaimedBounds(F(1), F(0), F(0)), ""
+        )
+        monkeypatch.setattr(zoo, "get_entry", lambda key: entry if key == name else real(key))
     out = tmp_path / "report.json"
     code = main(["batch", "--zoo", name, "--max-n", str(n), "--out", str(out)])
     err = capsys.readouterr().err
@@ -199,6 +214,19 @@ def test_batch_report_bytes_are_json_dumps(tmp_path, capsys, name, n, violated):
     assert blob == text.encode("utf-8")
     if (name, n) in REPORT_DIGESTS:
         assert hashlib.sha256(blob).hexdigest() == REPORT_DIGESTS[(name, n)]
+
+
+@pytest.mark.parametrize("report", [True, False], ids=["batch", "brute"])
+def test_a_sweep_past_the_claims_domain_is_a_usage_error(tmp_path, capsys, report):
+    out = tmp_path / "report.json"
+    if report:
+        code = main(["batch", "--zoo", "xoreq-q1ca", "--max-n", "12", "--out", str(out)])
+    else:
+        code = main(["adversary", "brute", "xoreq-q1ca", "--max-n", "12"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INVALID, "")
+    assert captured.err == "xoreq-q1ca claims its bounds for n <= 11 only, not --max-n 12\n"
+    assert not out.exists()
 
 
 def test_batch_record_parts_wrap_any_word():

@@ -1,4 +1,5 @@
 """Text format: canonical emission, parsing, diagnostics, round trips."""
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -288,9 +289,7 @@ def test_parse_error_carries_diagnostics():
     assert ":" in str(exc_info.value)
 
 
-# The same machine as TINY with no space around ',', '@' and '*'.  A word
-# runs up to whitespace, ',', '@' or '*', so '->' right after a word needs
-# a space before it: 'Z->t' would be one token.
+# The same machine as TINY with no space around ',', '@' and '*'.
 TINY_COMPACT = """machine tiny
 class p1ca
 alphabet a b
@@ -331,6 +330,28 @@ def test_separators_need_no_spaces():
     compact = re.sub(r" ?(,|->|@|\*) ", r"\1", quantum)
     assert "trans q,a,*->q,0@1/2 r2" in compact
     assert parse(compact) == parse(quantum)
+
+
+def test_an_arrow_right_after_a_word_is_its_own_token():
+    text = TINY_COMPACT.replace(" ->", "->")
+    assert "trans s,a,Z->t,2@1/2" in text
+    assert parse(text) == parse(TINY)
+
+
+def test_a_name_with_an_arrow_is_refused():
+    machine, errors = errors_of(TINY.replace("states s t", "states s t a->b"))
+    assert machine is None
+    assert [str(e) for e in errors] == ["6:13: error: state name '->' is reserved"]
+    tiny = parse(TINY)
+    with pytest.raises(EngineError, match=r"^state 'a->b' cannot be written in the text format$"):
+        emit(dataclasses.replace(tiny, states=(*tiny.states, "a->b")))
+    with pytest.raises(EngineError, match=r"^symbol 'a->b' cannot be written in the text format$"):
+        emit(dataclasses.replace(tiny, alphabet=(*tiny.alphabet, "a->b")))
+
+
+def test_source_spans_are_one_based():
+    with pytest.raises(ValueError, match="^SourceSpan positions are 1-based$"):
+        SourceSpan(0, 1, 1)
 
 
 def test_each_bad_literal_is_reported_at_its_own_position():

@@ -122,7 +122,10 @@ def test_readme_zoo_table_matches_the_registry():
             f"| `{name}` | `{entry.machine.mclass.tag}` | `{entry.problem}` | "
             f"{bounds.accept_on_yes_min} / {bounds.accept_on_no_max} / {bounds.dontknow_max} "
         )
-        assert any(line.startswith(row) for line in rows), row
+        [line] = [line for line in rows if line.startswith(row)]
+        domain = "" if bounds.max_n is None else f"for n ≤ {bounds.max_n} "
+        assert line.startswith(row + domain), line
+        assert domain or not line[len(row):].startswith("for n"), line
 
 
 def test_readme_class_table_lists_every_class():
