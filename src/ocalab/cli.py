@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -39,7 +40,7 @@ from . import adversary as adversary_mod
 from . import zoo as zoo_mod
 from .classical import sample_run
 from .core import CounterMachine, EngineError, Verdict
-from .dsl import emit, parse_with_diagnostics
+from .dsl import emit, parse_with_diagnostics, read_source
 from .kernel import run_many, run_word
 from .problems import NO, YES, get_problem
 
@@ -117,7 +118,7 @@ def _load_machine(ref: str) -> tuple[CounterMachine, Optional[zoo_mod.ZooEntry]]
     """
     if os.path.exists(ref):
         try:
-            text = Path(ref).read_text(encoding="utf-8")
+            text = read_source(ref)
         except OSError as exc:
             raise _CliError(f"cannot read {ref}: {exc}", EXIT_IO) from exc
         machine, diagnostics = parse_with_diagnostics(text)
@@ -148,7 +149,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if not os.path.exists(args.file):
         raise _CliError(f"{args.file}: no such file", EXIT_IO)
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = read_source(args.file)
     except OSError as exc:
         raise _CliError(f"{args.file}: {exc}", EXIT_IO) from exc
     machine, diagnostics = parse_with_diagnostics(text)
@@ -312,6 +313,7 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ocalab",

@@ -460,8 +460,18 @@ def parse(text: str) -> CounterMachine:
     return machine
 
 
+def read_source(path: str | Path) -> str:
+    """The text of a ``.cma`` file; bytes that are not UTF-8 raise :class:`ParseError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        span = SourceSpan(line, exc.start - exc.object.rfind(b"\n", 0, exc.start), 1)
+        raise ParseError([ParseDiagnostic(span, ERROR, f"{path} is not UTF-8 text: {exc.reason}")]) from None
+
+
 def parse_file(path: str | Path) -> CounterMachine:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    return parse(read_source(path))
 
 
 def _symbol_token(sym: str) -> str:

@@ -21,17 +21,18 @@ reading a verdict, reporting unitarity violations, and the public
 ``step``/``evolve`` wrappers.
 
 A blind machine whose rows never read the counter is stepped by
-:func:`advance` in per-state groups instead, ``{state: (shift,
-{counter - shift: mass})}`` over the same ``D`` with the same rescale: a
-move re-labels a whole state in O(1), and the sources of a branching row
-are gathered once.  Machines that read the counter hold a few
-configurations per state, where the flat ``{config: value}`` form of
-:func:`propagate` is cheaper.
+:func:`advance` in dense per-state groups instead, ``{state: (low, [mass at
+counter low, low + 1, ...])}`` (both ends nonzero) over the same ``D`` with
+the same rescale: a move re-labels a whole state in O(1), groups that meet
+add by aligned slices, and the sources of a branching row are gathered
+once.  Machines that read the counter hold a few configurations per
+state, where the flat ``{config: value}`` form of :func:`propagate` is
+cheaper.
 
 :func:`advance_runs` takes the rest of a run of one symbol in one :func:`_jump`
 where the symbol's rows never read the counter and every configuration (or
-group, walking as its state) only moves.  Each walks its own states, skips
-every whole cycle that fits and takes the rest off its walk so far.
+group, walking as its state) only moves: one ``divmod`` on its state's
+walk to the first repeat, built once per table.
 
 A step's result depends only on the flat content and ``D`` it starts from,
 however it is grouped, so :func:`run_many` steps each distinct (content, D)
@@ -44,6 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, groupby
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .amplitudes import Amplitude
@@ -61,15 +63,15 @@ from .core import (
 )
 
 IntDist = dict  # config -> int mass or Quad amplitude
-Groups = dict  # state id -> (shift, {counter - shift: int mass})
+Groups = dict  # state id -> (low, [int mass at counter low, low + 1, ...])
 Branches = tuple  # ((offset, int or Quad weight), ...)
 
 # Outcome kinds of a final configuration.
 REJECT, ACCEPT, NEUTRAL = 0, 1, 2
 
 # run_many clears its memo between words once it holds more entries than
-# this: the configurations of each node, or for per-state groups those of
-# each distinct group dict plus each node's groups (README gives the bytes).
+# this: the configurations of each node, or for per-state groups the slots
+# of each distinct group list plus each node's groups (README gives the bytes).
 MEMO_CONFIGS = 1 << 16
 
 
@@ -151,9 +153,10 @@ class SymbolTable:
     zero / nonzero counter, or None when the row branches; the branching
     rows are in ``branch_z``/``branch_nz``, weights over ``den``.
     ``reads_counter`` is whether some zero row differs from its nonzero row.
+    ``walks`` caches :func:`_jump`'s walk of each state it meets.
     """
 
-    __slots__ = ("moves_z", "moves_nz", "branch_z", "branch_nz", "den", "reads_counter")
+    __slots__ = ("moves_z", "moves_nz", "branch_z", "branch_nz", "den", "reads_counter", "walks")
 
     def __init__(self, moves_z: list, moves_nz: list, branch_z: dict, branch_nz: dict, den: int) -> None:
         self.moves_z = moves_z
@@ -162,6 +165,7 @@ class SymbolTable:
         self.branch_nz = branch_nz
         self.den = den
         self.reads_counter = moves_z != moves_nz or branch_z != branch_nz
+        self.walks: dict = {}
 
     def branches(self, state: int, zero: bool, unit: object) -> Branches:
         """The row of ``state`` as branches, a move given weight ``unit``."""
@@ -436,59 +440,60 @@ def advance(
     keep: list | None = None,
 ) -> tuple[Groups | IntDist, int]:
     """:func:`propagate` in the kernel's own form: flat, or per-state groups
-    ``{state: (shift, {counter - shift: mass})}`` when it has grouped rows.
+    ``{state: (low, [mass at counter low, low + 1, ...])}`` when it has
+    grouped rows.
 
-    A move re-labels a whole group in O(1): the dict is shared and only
-    the shift changes.  A step that takes a branching row scales every
+    A move re-labels a whole group in O(1): the list is shared and only
+    ``low`` changes.  A step that takes a branching row scales every
     group to the symbol's denominator, gathers the sources of each row into
-    one dict (shared by every target of weight 1) and divides the gcd of
-    everything out.  No dict is written after the step that made it, so
+    one list (shared by every target of weight 1) and divides the gcd of
+    everything out.  No list is written after the step that made it, so
     every (groups, D) returned or kept stays valid.
     """
     if kernel.rows is None:
         return propagate(kernel, tape, dist, den, keep)
     if dist is None:
-        dist = {kernel.initial: (0, {0: 1})}
+        dist = {kernel.initial: (0, [1])}
         den = 1
     grouped_rows = kernel.rows
     for symbol in tape:
         rows = grouped_rows[symbol]
         out: Groups = {}
-        owned: set = set()  # groups whose dict this step made
+        owned: set = set()  # groups whose list this step made
         pending = None
-        for state, (shift, counts) in dist.items():
+        for state, (low, counts) in dist.items():
             row = rows[state]
             if row.__class__ is Split:
                 if pending is None:
                     pending = []
-                pending.append((row, shift, counts))
+                pending.append((row, low, counts))
                 continue
             target, delta = row
             if target in out:
-                _add(out, owned, target, shift + delta, counts, 1)
+                _add(out, owned, target, low + delta, counts, 1)
             else:
-                out[target] = (shift + delta, counts)
+                out[target] = (low + delta, counts)
         if pending is not None:
             scale = kernel.tables[symbol].den
             if scale != 1:
                 den *= scale
-                for state, (shift, counts) in out.items():
-                    out[state] = (shift, {key: mass * scale for key, mass in counts.items()})
+                for state, (low, counts) in out.items():
+                    out[state] = (low, [mass * scale for mass in counts])
                 owned = set(out)
-            gathered: dict[Split, tuple[int, dict]] = {}
+            gathered: dict[Split, tuple[int, list]] = {}
             mine: set = set()
-            for row, shift, counts in pending:
-                _add(gathered, mine, row, shift, counts, 1)
-            for row, (shift, counts) in gathered.items():
+            for row, low, counts in pending:
+                _add(gathered, mine, row, low, counts, 1)
+            for row, (low, counts) in gathered.items():
                 for target, delta, weight in row:
-                    _add(out, owned, target, shift + delta, counts, weight)
+                    _add(out, owned, target, low + delta, counts, weight)
             if scale != 1:
                 shared = {id(counts): counts for _, counts in out.values()}
-                common = gcd(den, *chain.from_iterable(c.values() for c in shared.values()))
+                common = gcd(den, *chain.from_iterable(shared.values()))
                 if common != 1:
                     den //= common
-                    shared = {key: {k: mass // common for k, mass in c.items()} for key, c in shared.items()}
-                    out = {state: (shift, shared[id(counts)]) for state, (shift, counts) in out.items()}
+                    shared = {key: [mass // common for mass in c] for key, c in shared.items()}
+                    out = {state: (low, shared[id(counts)]) for state, (low, counts) in out.items()}
         dist = out
         if keep is not None:
             keep.append((dist, den))
@@ -515,25 +520,26 @@ def _jump(kernel: Kernel, table: SymbolTable, dist: Groups | IntDist, steps: int
     docstring."""
     if table.reads_counter:
         return None
-    size, grouped, moves = kernel.size, kernel.rows is not None, table.moves_z
+    size, grouped, moves, walks = kernel.size, kernel.rows is not None, table.moves_z, table.walks
     out, owned = {}, set()
     for config, value in dist.items():
-        left, seen, path = steps, {}, []  # seen: state -> its index in path
-        while left:
-            state = config % size
-            at = seen.get(state)
-            if at is not None:
-                cycles, left = divmod(left, len(path) - at)
-                config += cycles * (config - path[at]) + path[at + left] - path[at]
-                break
-            seen[state] = len(path)
-            off = moves[state]
-            if off is None:
-                return None
-            path.append(config)
-            config += off
-            left -= 1
-        if grouped:  # a group walks as its state; the walk's drift moves its shift
+        state = config % size
+        if state not in walks:  # cumulative offsets until a state repeats, and where it was first seen
+            at, offsets, seen = state, [0], {}
+            while at not in seen and moves[at] is not None:
+                seen[at] = len(offsets) - 1
+                offsets.append(offsets[-1] + moves[at])
+                at = (state + offsets[-1]) % size
+            walks[state] = offsets, seen.get(at)  # None: a branching row comes first
+        offsets, entry = walks[state]
+        if steps < len(offsets):
+            config += offsets[steps]
+        elif entry is None:
+            return None
+        else:  # whole cycles of the walk's last len(offsets) - 1 - entry moves
+            cycles, left = divmod(steps - entry, len(offsets) - 1 - entry)
+            config += cycles * (offsets[-1] - offsets[entry]) + offsets[entry + left]
+        if grouped:  # a group walks as its state; the walk's drift moves its low end
             _add(out, owned, config % size, value[0] + config // size, value[1], 1)
         else:
             out[config] = out[config] + value if config in out else value
@@ -542,34 +548,25 @@ def _jump(kernel: Kernel, table: SymbolTable, dist: Groups | IntDist, steps: int
     return out
 
 
-def _add(groups: dict, owned: set, key: object, shift: int, counts: dict, weight: int) -> None:
-    """Add ``counts`` times ``weight`` at ``shift`` into ``groups[key]``,
-    writing only a dict that ``owned`` names (or a fresh one, then named)."""
-    have = groups.get(key)
+def _add(groups: dict, owned: set, key: object, low: int, counts: list, weight: int) -> None:
+    """Add ``counts`` times ``weight`` from counter ``low`` into ``groups[key]``,
+    writing only a list that ``owned`` names (or a fresh one, then named)."""
     if weight != 1:
-        counts = {k: mass * weight for k, mass in counts.items()}
-        if have is None or key not in owned:
+        counts = [mass * weight for mass in counts]
+    have = groups.get(key)
+    if have is None:
+        groups[key] = (low, counts)
+        if weight != 1:
             owned.add(key)
-            groups[key] = (shift, counts)
-            if have is None:
-                return
-            shift, counts = have
-    elif have is None:
-        groups[key] = (shift, counts)
         return
-    elif key not in owned:
-        # Write into a copy of the larger side and add the smaller.
-        if len(counts) > len(have[1]):
-            have, (shift, counts) = (shift, counts), have
+    base_low, base = have
+    start, stop = min(low, base_low), max(low + len(counts), base_low + len(base))
+    if key not in owned or base_low != start or len(base) != stop - start:
+        base = [0] * (base_low - start) + base + [0] * (stop - base_low - len(base))
         owned.add(key)
-        groups[key] = (have[0], have[1].copy())
-    base_shift, base = groups[key]
-    get = base.get
-    shift -= base_shift
-    for k, mass in counts.items():
-        k += shift
-        prev = get(k)
-        base[k] = mass if prev is None else prev + mass
+        groups[key] = (start, base)
+    i = low - start
+    base[i : i + len(counts)] = map(add, base[i : i + len(counts)], counts)
 
 
 def flat(kernel: Kernel, dist: Groups | IntDist) -> IntDist:
@@ -578,9 +575,9 @@ def flat(kernel: Kernel, dist: Groups | IntDist) -> IntDist:
         return dist
     size = kernel.size
     return {
-        (key + shift) * size + state: mass
-        for state, (shift, counts) in dist.items()
-        for key, mass in counts.items()
+        (low + i) * size + state: mass
+        for state, (low, counts) in dist.items()
+        for i, mass in enumerate(counts) if mass
     }
 
 
@@ -600,9 +597,9 @@ def outcome_sums(kernel: Kernel, items: Iterable[tuple[int, object]]) -> tuple[i
     """
     if kernel.rows is not None:
         sums = [0, 0, 0]
-        for state, (shift, counts) in items:
-            zero = counts.get(-shift, 0)
-            sums[kernel.kind(state + kernel.size)] += sum(counts.values()) - zero
+        for state, (low, counts) in items:
+            zero = counts[-low] if low <= 0 < low + len(counts) else 0
+            sums[kernel.kind(state + kernel.size)] += sum(counts) - zero
             sums[kernel.kind(state)] += zero
         return tuple(sums)
     kind = kernel.kind
@@ -692,21 +689,20 @@ def run_many(machine: CounterMachine, words: Iterable[str]) -> Iterator[Verdict]
     verdicts: dict[tuple, Verdict] = {}  # (sums, D) -> its Verdict
     shared: dict[Verdict, Verdict] = {}  # one object per value
     memo: dict[tuple, list] = {}  # (content, D) -> [distribution, D, {symbol: node}, verdict]
-    frozen: dict[int, tuple] = {}  # id(group dict) -> (dict, least key, items less it)
+    frozen: dict[int, tuple] = {}  # id(group list) -> (list, its masses as a tuple)
     held = 0  # entries in the memo: see MEMO_CONFIGS
 
     def group(item: tuple) -> tuple:
-        """A group as (state, least counter, items less it): its content,
-        built once per dict, which no step writes after the one that made it."""
+        """A group as (state, low, masses): its content, since both ends are
+        nonzero, built once per list, which no step writes after the one
+        that made it."""
         nonlocal held
-        state, (shift, counts) = item
+        state, (low, counts) = item
         hit = frozen.get(id(counts))
         if hit is None:
-            low = min(counts)
-            items = frozenset((key - low, mass) for key, mass in counts.items())
-            hit = frozen[id(counts)] = (counts, low, items)
+            hit = frozen[id(counts)] = (counts, tuple(counts))
             held += len(counts)
-        return state, shift + hit[1], hit[2]
+        return state, low, hit[1]
 
     def node(dist: Groups | IntDist, den: int) -> list:
         nonlocal held
@@ -753,7 +749,7 @@ def read_exact(machine: CounterMachine, dist: Mapping[tuple[str, int], object]) 
     values, den = from_exact(kernel, dist)
     items = values.items()
     if kernel.rows is not None:
-        items = [(config % kernel.size, (0, {config // kernel.size: mass})) for config, mass in items]
+        items = [(config % kernel.size, (config // kernel.size, [mass])) for config, mass in items]
     return read(kernel, items, den)
 
 

@@ -31,6 +31,27 @@ def test_help_exits_cleanly(capsys):
     assert "validate" in out and "adversary" in out
 
 
+def test_repeated_in_process_calls_give_identical_results(tmp_path, capsys):
+    # The argument parser is built once per process and reused.
+    argvs = [
+        ["run", "m1", "--input", "00#00#00#00####"],
+        ["run", "m1", "--input", "abc"],
+        ["batch", "--zoo", "m1", "--max-n", "4", "--out", str(tmp_path / "out.json")],
+        ["adversary", "brute", "xoreq-q1ca", "--max-n", "3"],
+        ["zoo", "list"],
+        ["run", "m1"],
+    ]
+    results = []
+    for _ in range(2):
+        for argv in argvs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            report = (tmp_path / "out.json").read_bytes() if argv[0] == "batch" else None
+            results.append((code, captured.out, captured.err, report))
+    assert results[: len(argvs)] == results[len(argvs) :]
+    assert [code for code, *_ in results[: len(argvs)]] == [EXIT_OK, EXIT_INVALID, EXIT_OK, EXIT_EXHAUSTED, EXIT_OK, EXIT_INVALID]
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from ocalab import (
 )
 from ocalab.adversary import FoolingPair, fool_xoreq_d1ca
 from ocalab.cli import EXIT_INVALID, main
-from ocalab.dsl import parse_amplitude
+from ocalab.dsl import parse_amplitude, parse_file
 from ocalab.kernel import run_word
 from ocalab.problems import xoreq_word
 from ocalab.zoo import ClaimedBounds, list_entries
@@ -410,3 +410,33 @@ def test_cli_invocation(tmp_path, capsys, command, code, out, err):
     captured = capsys.readouterr()
     assert captured.out.replace(str(tmp_path), "TMP") == out
     assert captured.err.replace(str(tmp_path), "TMP") == err
+
+
+# A .cma file written as UTF-16 starts with the bytes ff fe.
+NOT_UTF8_COMMANDS = [
+    "validate {path}",
+    "run {path} --input 00#",
+    "batch {path} --problem xor-eq --max-n 4 --out {out}",
+    "adversary brute {path} --problem xor-eq --max-n 4",
+    "adversary fool-xoreq {path}",
+]
+
+
+@pytest.mark.parametrize("command", NOT_UTF8_COMMANDS)
+def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, capsys, command):
+    path = tmp_path / "m1.cma"
+    path.write_bytes(emit(get_entry("m1").machine).encode("utf-16"))
+    out = tmp_path / "out.json"
+    assert main(command.format(path=path, out=out).split()) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"1:1: error: {path} is not UTF-8 text: invalid start byte\n"
+    assert not out.exists()
+
+
+def test_parse_file_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.cma"
+    path.write_bytes(BASE.replace("states s", "states s\xe9").encode("latin-1"))
+    with pytest.raises(ParseError) as caught:
+        parse_file(path)
+    assert str(caught.value) == f"4:9: error: {path} is not UTF-8 text: invalid continuation byte"

@@ -42,7 +42,7 @@ from ocalab import (
     xoreq_word,
     zoo_names,
 )
-from ocalab.kernel import advance, advance_runs, compiled, flat, propagate, run_many, run_word
+from ocalab.kernel import _jump, advance, advance_runs, compiled, flat, propagate, run_many, run_word
 from reference import (
     ref_check_unitarity,
     ref_distributions,
@@ -70,13 +70,14 @@ AMPLITUDES = (
 
 
 @st.composite
-def small_machines(draw, classes=tuple(MachineClass)):
+def small_machines(draw, classes=tuple(MachineClass), steps=2):
     """Random small machines of the given classes (every class by
-    default), well typed but not unitary."""
+    default) with counter steps up to ``steps``, well typed but not
+    unitary."""
     mclass = draw(st.sampled_from(classes))
     states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
     alphabet = draw(st.sampled_from(["a", "ab"]))
-    max_step = draw(st.integers(1, 2))
+    max_step = draw(st.integers(1, steps))
     target = st.sampled_from(states)
     delta = st.integers(-max_step, max_step)
 
@@ -732,6 +733,38 @@ def test_grouped_loop_equals_the_flat_loop_bit_for_bit(machine, data):
     assert grouped == flat_steps
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_machines(BLIND_CLASSES, steps=9), st.data())
+def test_groups_with_holes_step_as_the_flat_loop_and_the_reference(machine, data):
+    # Steps of up to 9 leave zero slots inside a group's list; they must
+    # not show as configurations.
+    word = data.draw(st.text(alphabet=machine.alphabet, max_size=9))
+    grouped, flat_steps = _steps_as_flat(machine, word)
+    assert grouped == flat_steps
+    assert all(0 not in dist.values() for dist, _ in grouped)
+    expected = ref_distributions(machine, word)
+    assert run_trace(machine, word, keep_distributions=True).distributions == tuple(expected)
+
+
+def test_a_group_with_holes_reads_as_its_configurations():
+    # From s at 0, 'a' goes to +3 or -2; a second 'a' reaches -4, +1 and +6.
+    rows = [
+        ("s", L, "*", [("s", 0, F(1))]),
+        ("s", "a", "*", [("s", 3, H), ("s", -2, H)]),
+        ("s", R, "*", [("s", 0, F(1))]),
+    ]
+    machine = mk("holes", "p1bca", "a", ("s",), "s", ("s",), rows, max_step=3)
+    kernel = compiled(machine)
+    kept = []
+    advance(kernel, tape_of("aa", machine.alphabet), keep=kept)
+    s = kernel.initial
+    assert [dist[s] for dist, _ in kept[1:3]] == [(-2, [1, 0, 0, 0, 0, 1]), (-4, [1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1])]
+    assert flat(kernel, kept[2][0]) == {-4 * kernel.size + s: 1, kernel.size + s: 2, 6 * kernel.size + s: 1}
+    grouped, flat_steps = _steps_as_flat(machine, "aa")
+    assert grouped == flat_steps
+    assert run_word(machine, "aa") == ref_run(machine, "aa")
+
+
 def test_long_words_step_exactly_through_the_grouped_loop():
     # A 200-letter eq-star word that keeps up to 243 configurations alive.
     eqstar = get_entry("eq-star-p1bca-k3").machine
@@ -867,3 +900,83 @@ def test_long_words_jump_to_the_reference():
         word = xoreq_word(*blocks)
         assert run_word(xoreq, word) == ref_run_quantum(xoreq, word)
         assert run_word(xoreq, word).accept == accept
+
+
+def _walk_machine(tag, a_rows, states):
+    """A machine over {a, b} whose rows on 'a' are ``a_rows``, that stays
+    put on the end markers and on 'b' moves one up."""
+    rows = [
+        *((state, symbol, "*", [(state, 0, F(1))]) for state in states for symbol in (L, R)),
+        *((state, "b", "*", [(state, 1, F(1))]) for state in states),
+        *a_rows,
+    ]
+    return mk("walk", tag, "ab", states, states[0], (states[0],), rows, max_step=3)
+
+
+# s0 -> s1 -> s2 -> s3 -> s4 -> s2: after a run's first 'a' (stepped) the
+# jump walks from s1 and enters a cycle of three after one move.
+RHO = [
+    ("s0", "a", "*", [("s1", 1, F(1))]),
+    ("s1", "a", "*", [("s2", 0, F(1))]),
+    ("s2", "a", "*", [("s3", 2, F(1))]),
+    ("s3", "a", "*", [("s4", -1, F(1))]),
+    ("s4", "a", "*", [("s2", 3, F(1))]),
+]
+RHO_STATES = ("s0", "s1", "s2", "s3", "s4")
+
+
+@pytest.mark.parametrize("tag", ["d1ca", "p1ca", "p1bca"])
+def test_a_rho_shaped_walk_jumps_to_the_stepped_result(tag):
+    # p1bca runs in groups, the others flat.
+    machine = _walk_machine(tag, RHO, RHO_STATES)
+    kernel = compiled(machine)
+    for word in ("b" * k + "a" * n for k in range(3) for n in range(3, 24)):
+        tape = tape_of(word, machine.alphabet)
+        assert advance_runs(kernel, tape) == advance(kernel, tape), word
+        assert run_word(machine, word) == ref_run(machine, word)
+    offsets, entry = kernel.tables["a"].walks[kernel.ids["s1"]]
+    assert entry == 1 and len(offsets) == 5  # s1, then s2 s3 s4 and back at s2
+    assert offsets[-1] - offsets[entry] == 4 * kernel.size  # a cycle gains 2 - 1 + 3
+
+
+@pytest.mark.parametrize("tag", ["p1ca", "p1bca"])
+def test_a_jump_stops_where_a_branching_row_is_needed(tag):
+    # s0 -> s1 -> s2 by moves, and s2 branches on 'a'.  A jump of one step
+    # ends before s2, one of two lands on s2 without reading its row, and
+    # longer ones would need it.
+    rows = [
+        ("s0", "a", "*", [("s1", 1, F(1))]),
+        ("s1", "a", "*", [("s2", -1, F(1))]),
+        ("s2", "a", "*", [("s0", 0, H), ("s1", 1, H)]),
+    ]
+    machine = _walk_machine(tag, rows, ("s0", "s1", "s2"))
+    kernel = compiled(machine)
+    table = kernel.tables["a"]
+    start, _ = advance(kernel, tape_of("bb", machine.alphabet)[:-1])
+    for steps, lands in ((1, True), (2, True), (3, False), (7, False)):
+        jumped = _jump(kernel, table, start, steps)
+        assert (jumped is not None) == lands, steps
+        if lands:
+            assert flat(kernel, jumped) == flat(kernel, advance(kernel, "a" * steps, start, 1)[0])
+    offsets, entry = table.walks[kernel.ids["s0"]]
+    assert entry is None and len(offsets) == 3
+    for word in ("bb" + "a" * n + "b" + "a" * m for n in range(1, 9) for m in (0, 3, 5)):
+        tape = tape_of(word, machine.alphabet)
+        assert advance_runs(kernel, tape) == advance(kernel, tape), word
+        assert run_word(machine, word) == ref_run(machine, word)
+
+
+def test_a_replaced_machine_walks_its_own_rows():
+    machine = _walk_machine("d1ca", RHO, RHO_STATES)
+    word = "b" + "a" * 20
+    before = run_word(machine, word)
+    rows = dict(machine.transitions)
+    for status in ("Z", "NZ"):  # now one cycle through every state
+        rows[("s4", "a", status)] = (("s0", 3, F(1)),)
+    other = dataclasses.replace(machine, transitions=rows)
+    for m in (other, machine, other):
+        assert run_word(m, word) == ref_run(m, word)
+    assert run_word(machine, word) == before
+    s1 = compiled(machine).ids["s1"]
+    assert compiled(other).tables["a"].walks[s1][1] == 0
+    assert compiled(machine).tables["a"].walks[s1][1] == 1
