@@ -107,8 +107,8 @@ class CycleProfile:
 
     After ``entry_steps`` symbols the machine enters a state cycle of
     length ``period``; each full turn of the cycle shifts the counter by
-    exactly ``difference``.  Valid while the counter stays away from
-    zero, which ``analyze_cycle`` checks over a 2|Q|-step horizon.
+    exactly ``difference``.  Valid while the counter stays away from zero,
+    which ``analyze_cycle`` checks from the start over a 2|Q|-step horizon.
     """
 
     symbol: str
@@ -122,35 +122,33 @@ class CycleProfile:
 def analyze_cycle(machine: CounterMachine, start: Config, symbol: str) -> CycleProfile:
     """Entry point, period and counter drift of the sigma-run from ``start``.
 
-    Raises if the counter reaches zero within 2|Q| steps: then the
-    zero/nonzero status interferes and no status-stable cycle is defined.
+    Reads the compiled ``SymbolTable.walk`` of its state.  Raises if the counter is zero at the
+    start or within 2|Q| steps (no status-stable cycle), at an unknown state or a branching row.
     """
     _require_sigma_run(machine, symbol)
-    trail: list[Config] = [start]
-    config = start
-    for step in range(1, 2 * len(machine.states) + 1):
-        config = _step_deterministic(machine, config, symbol)
-        if config[1] == 0:
+    kernel, (state, counter) = compiled(machine), start
+    if state not in kernel.ids:
+        raise SimulationError(f"state {state!r} is not in machine {machine.name!r}")
+    size, names, horizon = kernel.size, kernel.names, 2 * len(machine.states)
+    table, config = kernel.tables[symbol], counter * size + kernel.ids[state]
+    offsets, entry = table.walks.get(config % size) or table.walk(config % size)
+    if entry is None:
+        raise SimulationError(
+            f"state {names[(config + offsets[-1]) % size]!r} has a branching row on {symbol!r}"
+        )
+    period, drift = len(offsets) - 1 - entry, offsets[-1] - offsets[entry]
+    for step in range(horizon + 1):  # past the walk, whole turns of its cycle as in kernel._jump
+        cycles, left = (0, step - entry) if step < len(offsets) else divmod(step - entry, period)
+        if (config + cycles * drift + offsets[entry + left]) // size == 0:
             raise SimulationError(
                 f"counter reached zero at step {step} of the {symbol!r}-run; "
                 "cycle profile undefined"
             )
-        trail.append(config)
-
-    repeat = _first_repeat(state for state, _ in trail)
-    if repeat is None:  # only where rows walk through undeclared states
+    if entry + period > horizon:  # only where rows walk through undeclared states
         raise SimulationError("no state repetition found; horizon too short")
-    entry, period = repeat[0], repeat[1] - repeat[0]
-    difference = trail[entry + period][1] - trail[entry][1]
-    cycle_states = tuple(state for state, _ in trail[entry : entry + period])
-
     return CycleProfile(
-        symbol=symbol,
-        start=start,
-        entry_steps=entry,
-        period=period,
-        difference=difference,
-        cycle_states=cycle_states,
+        symbol=symbol, start=start, entry_steps=entry, period=period, difference=drift // size,
+        cycle_states=tuple(names[(config + offset) % size] for offset in offsets[entry:-1]),
     )
 
 

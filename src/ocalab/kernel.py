@@ -32,7 +32,7 @@ cheaper.
 :func:`advance_runs` takes the rest of a run of one symbol in one :func:`_jump`
 where the symbol's rows never read the counter and every configuration (or
 group, walking as its state) only moves: one ``divmod`` on its state's
-walk to the first repeat, built once per table.
+:meth:`SymbolTable.walk`, which ``adversary.analyze_cycle`` reads too.
 
 A step's result depends only on the flat content and ``D`` it starts from,
 however it is grouped, so :func:`run_many` steps each distinct (content, D)
@@ -153,7 +153,7 @@ class SymbolTable:
     zero / nonzero counter, or None when the row branches; the branching
     rows are in ``branch_z``/``branch_nz``, weights over ``den``.
     ``reads_counter`` is whether some zero row differs from its nonzero row.
-    ``walks`` caches :func:`_jump`'s walk of each state it meets.
+    ``walks`` caches :meth:`walk`, the one single-symbol cycle record.
     """
 
     __slots__ = ("moves_z", "moves_nz", "branch_z", "branch_nz", "den", "reads_counter", "walks")
@@ -173,6 +173,16 @@ class SymbolTable:
         if off is None:
             return (self.branch_z if zero else self.branch_nz)[state]
         return ((off, unit),)
+
+    def walk(self, state: int) -> tuple[list, int | None]:
+        """``state``'s moves on the nonzero rows, cached in ``walks``: the cumulative offsets
+        to the first repeated state, and that state's first index (None: a branching row)."""
+        moves, at, offsets, seen = self.moves_nz, state, [0], {}
+        while at not in seen and moves[at] is not None:
+            seen[at] = len(seen)
+            offsets.append(offsets[-1] + moves[at])
+            at = (state + offsets[-1]) % len(moves)
+        return self.walks.setdefault(state, (offsets, seen.get(at)))
 
 
 class Kernel:
@@ -313,8 +323,7 @@ def _tables(
             (delta * size + ids[target] - source, parts_of(weight)[0])
             for target, delta, weight in row
         ]
-        if quantum:  # a zero amplitude contributes nothing
-            branches = [branch for branch in branches if any(branch[1])]
+        branches = [branch for branch in branches if any(branch[1])]  # a zero weight adds nothing
         branching[symbol].append((source, zero, branches))
 
     tables = {}
@@ -520,18 +529,10 @@ def _jump(kernel: Kernel, table: SymbolTable, dist: Groups | IntDist, steps: int
     docstring."""
     if table.reads_counter:
         return None
-    size, grouped, moves, walks = kernel.size, kernel.rows is not None, table.moves_z, table.walks
+    size, grouped, walks = kernel.size, kernel.rows is not None, table.walks
     out, owned = {}, set()
-    for config, value in dist.items():
-        state = config % size
-        if state not in walks:  # cumulative offsets until a state repeats, and where it was first seen
-            at, offsets, seen = state, [0], {}
-            while at not in seen and moves[at] is not None:
-                seen[at] = len(offsets) - 1
-                offsets.append(offsets[-1] + moves[at])
-                at = (state + offsets[-1]) % size
-            walks[state] = offsets, seen.get(at)  # None: a branching row comes first
-        offsets, entry = walks[state]
+    for config, value in dist.items():  # the rows ignore the counter, so the nonzero walk is the run
+        offsets, entry = walks.get(config % size) or table.walk(config % size)
         if steps < len(offsets):
             config += offsets[steps]
         elif entry is None:

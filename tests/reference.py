@@ -32,6 +32,7 @@ from ocalab import (
     status_of,
     tape_of,
 )
+from ocalab.adversary import CycleProfile
 from ocalab.problems import (
     NO,
     OUTSIDE,
@@ -112,6 +113,37 @@ def ref_sample_run(machine, word, seed):
     if machine.mclass.las_vegas and state in machine.neutral and (not blind or counter == 0):
         return "dontknow"
     return "reject"
+
+
+def ref_analyze_cycle(machine, start, symbol):
+    """``adversary.analyze_cycle`` as a walk on state names: each step looks
+    its row up by the counter's status, and the first repeated state of the
+    2|Q|-step trail marks the cycle.  Agrees with the compiled walk from a
+    nonzero start counter on a valid deterministic machine."""
+    trail = [start]
+    state, counter = start
+    for step in range(1, 2 * len(machine.states) + 1):
+        state, delta, _ = machine.entries(state, symbol, status_of(counter))[0]
+        counter += delta
+        if counter == 0:
+            raise SimulationError(
+                f"counter reached zero at step {step} of the {symbol!r}-run; "
+                "cycle profile undefined"
+            )
+        trail.append((state, counter))
+    states = [state for state, _ in trail]
+    repeat = next((j for j, state in enumerate(states) if state in states[:j]), None)
+    if repeat is None:
+        raise SimulationError("no state repetition found; horizon too short")
+    entry = states.index(states[repeat])
+    return CycleProfile(
+        symbol=symbol,
+        start=start,
+        entry_steps=entry,
+        period=repeat - entry,
+        difference=trail[repeat][1] - trail[entry][1],
+        cycle_states=tuple(states[entry:repeat]),
+    )
 
 
 # ---------------------------------------------------------------------------

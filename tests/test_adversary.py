@@ -32,6 +32,7 @@ from ocalab import (
     classify_xoreq,
     get_problem,
     run,
+    validate_machine,
 )
 from ocalab import adversary
 from ocalab.adversary import (
@@ -53,7 +54,9 @@ from ocalab.adversary import (
     sigma_partition,
     threshold_rule,
 )
+from ocalab.kernel import compiled
 from ocalab.zoo import build_m1, build_m2
+from reference import ref_analyze_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +83,46 @@ def test_analyze_cycle_frozen_profiles(complement):
 def test_analyze_cycle_rejects_zero_crossings():
     with pytest.raises(SimulationError, match="counter reached zero at step 2"):
         analyze_cycle(det_decrement(), ("q", 2), "a")
+
+
+def test_analyze_cycle_counts_the_start_counter():
+    # From s at zero the run reads the Z row into t, and from t back to s,
+    # now at a nonzero counter, so it leaves for u; the s/t cycle that the
+    # repeated state s suggests is never entered.
+    machine = mk(
+        "zero-start", "d1ca", "a", ("s", "t", "u"), "s", (),
+        [
+            ("s", "a", "Z", [("t", 1, F(1))]),
+            ("s", "a", "NZ", [("u", 1, F(1))]),
+            ("t", "a", "*", [("s", 1, F(1))]),
+            ("u", "a", "*", [("u", 1, F(1))]),
+        ],
+    )
+    assert validate_machine(machine) == []
+    with pytest.raises(SimulationError, match="counter reached zero at step 0 of the 'a'-run"):
+        analyze_cycle(machine, ("s", 0), "a")
+    assert analyze_cycle(machine, ("s", 1), "a") == CycleProfile(
+        symbol="a", start=("s", 1), entry_steps=1, period=1, difference=1, cycle_states=("u",)
+    )
+
+
+def test_analyze_cycle_refuses_a_state_the_table_does_not_name(complement):
+    with pytest.raises(SimulationError, match="state 'nowhere' is not in machine"):
+        analyze_cycle(complement, ("nowhere", 1), "a")
+
+
+def test_analyze_cycle_refuses_a_branching_row_on_the_run():
+    # A hand-built d1ca that validation refuses: t's row on 'a' branches.
+    machine = mk(
+        "branchy", "d1ca", "a", ("s", "t", "u"), "s", (),
+        [
+            ("s", "a", "*", [("t", 1, F(1))]),
+            ("t", "a", "*", [("s", 1, F(1, 2)), ("u", 1, F(1, 2))]),
+        ],
+    )
+    assert validate_machine(machine) != []
+    with pytest.raises(SimulationError, match="state 't' has a branching row on 'a'"):
+        analyze_cycle(machine, ("s", 1), "a")
 
 
 def test_analyze_cycle_past_the_declared_states_finds_no_repeat():
@@ -163,6 +206,27 @@ def test_sigma_partition_groups_the_analyze_cycle_profiles(machine, symbol):
         SigmaClass(cycle=cycle, period=len(cycle), difference=drift, members=tuple(members))
         for cycle, (drift, members) in sorted(classes.items())
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(deterministic_machines(), st.integers(-8, 8).filter(bool), st.data())
+def test_analyze_cycle_matches_the_name_walk(machine, counter, data):
+    # The compiled walk against the reference's walk on state names, from
+    # every state the table names and on every tape symbol: profiles, zero
+    # crossings and horizon errors alike.  Declaring fewer states shortens
+    # the 2|Q| horizon below the walk's length.
+    declared = data.draw(st.integers(1, len(machine.states)))
+    machine = dataclasses.replace(machine, states=machine.states[:declared])
+
+    def outcome(analyze, state, symbol):
+        try:
+            return analyze(machine, (state, counter), symbol)
+        except SimulationError as exc:
+            return str(exc)
+
+    for state in compiled(machine).names:
+        for symbol in machine.tape_symbols:
+            assert outcome(analyze_cycle, state, symbol) == outcome(ref_analyze_cycle, state, symbol)
 
 
 def test_sigma_partition_reads_steps_wider_than_max_step():

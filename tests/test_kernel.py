@@ -765,6 +765,24 @@ def test_a_group_with_holes_reads_as_its_configurations():
     assert run_word(machine, "aa") == ref_run(machine, "aa")
 
 
+def test_a_zero_weight_branch_is_dropped_by_every_engine():
+    # Validation refuses a classical weight of 0; a hand-built machine with
+    # one still runs, and the grouped run and the public step must agree on
+    # what it holds: no zero-mass configuration from the dropped branch.
+    rows = [
+        ("s", L, "*", [("s", 0, F(1))]),
+        ("s", "a", "*", [("s", 1, F(1)), ("t", 1, F(0))]),
+        ("t", "a", "*", [("t", 0, F(1))]),
+        ("s", R, "*", [("s", 0, F(1))]),
+        ("t", R, "*", [("t", 0, F(1))]),
+    ]
+    machine = mk("zero-weight", "p1bca", "a", ("s", "t"), "s", ("s",), rows)
+    dist = initial_distribution(machine)
+    for symbol in tape_of("aa", machine.alphabet):
+        dist = step(machine, dist, symbol)
+    assert run_trace(machine, "aa").final == dist == {("s", 2): 1}
+
+
 def test_long_words_step_exactly_through_the_grouped_loop():
     # A 200-letter eq-star word that keeps up to 243 configurations alive.
     eqstar = get_entry("eq-star-p1bca-k3").machine
