@@ -32,10 +32,10 @@ from .core import (
     MachineClass,
     SimulationError,
     Verdict,
-    status_of,
+    format_exact,
     tape_of,
 )
-from .kernel import ACCEPT, compiled, run_many
+from .kernel import ACCEPT, Branches, Kernel, compiled, run_many
 from .problems import NO, YES, classify_eqstar, classify_xoreq, get_problem, xoreq_word
 from .zoo import ClaimedBounds
 
@@ -76,14 +76,14 @@ def _require_sigma_run(machine: CounterMachine, symbol: str) -> None:
         raise SimulationError(f"symbol {symbol!r} is not on this machine's tape")
 
 
-def _row(machine: CounterMachine, config: Config, symbol: str) -> tuple:
-    """The total transition row read at ``config`` on ``symbol``."""
-    return machine.entries(config[0], symbol, status_of(config[1]))
-
-
-def _step_deterministic(machine: CounterMachine, config: Config, symbol: str) -> Config:
-    target, delta, _weight = _row(machine, config, symbol)[0]
-    return (target, config[1] + delta)
+def _branches(kernel: Kernel, config: int, symbol: str) -> Branches:
+    """The compiled row read at configuration ``config`` on ``symbol``; every
+    single-path attack steps through it."""
+    state = config % kernel.size
+    row = kernel.tables[symbol].branches(state, config == state, 1)
+    if not row:  # only a hand-built row whose weights are all 0
+        raise SimulationError(f"state {kernel.names[state]!r} has no branch of nonzero weight on {symbol!r}")
+    return row
 
 
 def _first_repeat(items: Iterable[Hashable]) -> Optional[tuple[int, int]]:
@@ -204,23 +204,26 @@ class FoolingPair:
     machine_accepts: bool
 
 
-def _prefix_configs(
-    machine: CounterMachine, bound: int
-) -> list[tuple[tuple[int, int], Config]]:
-    """Configurations after cent 0^a # 0^b #, enumerated by (b, a), even a, b."""
-    config = _step_deterministic(machine, (machine.initial, 0), LEFT_END)
-    starts: list[tuple[int, Config]] = []
+def _prefix_configs(machine: CounterMachine, bound: int) -> list[tuple[tuple[int, int], int]]:
+    """Compiled configurations after cent 0^a # 0^b #, enumerated by (b, a), even a, b."""
+    kernel = compiled(machine)
+
+    def step(config: int, symbol: str) -> int:
+        return config + _branches(kernel, config, symbol)[0][0]
+
+    config = step(kernel.initial, LEFT_END)
+    starts: list[tuple[int, int]] = []
     for a in range(1, bound + 1):
-        config = _step_deterministic(machine, config, "0")
+        config = step(config, "0")
         if a % 2 == 0:
-            starts.append((a, _step_deterministic(machine, config, "#")))
+            starts.append((a, step(config, "#")))
 
     # Every even-a configuration reads block b together, one 0 at a time.
-    out: list[tuple[tuple[int, int], Config]] = []
+    out: list[tuple[tuple[int, int], int]] = []
     for b in range(1, bound + 1):
-        starts = [(a, _step_deterministic(machine, config, "0")) for a, config in starts]
+        starts = [(a, step(config, "0")) for a, config in starts]
         if b % 2 == 0:
-            out.extend(((a, b), _step_deterministic(machine, config, "#")) for a, config in starts)
+            out.extend(((a, b), step(config, "#")) for a, config in starts)
     return out
 
 
@@ -297,7 +300,7 @@ def fool_xoreq_d1ca(machine: CounterMachine, n: int = 64) -> FoolingPair:
         word_no=word_no,
         prefix_yes=prefix_1,
         prefix_no=prefix_2,
-        collision=config,
+        collision=compiled(machine).config(config),
         case=case,
         suffix=suffix,
         machine_accepts=verdict_yes.accept == 1,
@@ -330,43 +333,35 @@ class PumpRefutation:
 
 def _find_rejecting_path(
     machine: CounterMachine, tape: tuple[str, ...], node_budget: int
-) -> Optional[tuple[tuple[int, ...], list[Config]]]:
-    """Depth-first search for one path ending outside accept-with-zero."""
+) -> Optional[tuple[tuple[int, ...], list[int]]]:
+    """Depth-first search for one path ending outside accept-with-zero: its
+    branch indices into the compiled rows and its compiled configurations."""
     kernel = compiled(machine)
-    sys_stack: list[tuple[Config, int, tuple[int, ...]]] = [
-        ((machine.initial, 0), 0, ())
-    ]
+    stack: list[tuple[int, int, tuple[int, ...]]] = [(kernel.initial, 0, ())]
     visited = 0
-    while sys_stack:
-        config, pos, choices = sys_stack.pop()
+    while stack:
+        config, pos, choices = stack.pop()
         visited += 1
         if visited > node_budget:
             raise SimulationError(f"path search exceeded the node budget {node_budget}")
         if pos == len(tape):
-            if kernel.kind(kernel.config_id(*config)) != ACCEPT:
+            if kernel.kind(config) != ACCEPT:
                 return choices, _replay(machine, tape, choices)
             continue
-        entries = _row(machine, config, tape[pos])
-        for index in range(len(entries) - 1, -1, -1):
-            target, delta, _weight = entries[index]
-            sys_stack.append(
-                ((target, config[1] + delta), pos + 1, choices + (index,))
-            )
+        row = _branches(kernel, config, tape[pos])
+        for index in range(len(row) - 1, -1, -1):
+            stack.append((config + row[index][0], pos + 1, choices + (index,)))
     return None
 
 
-def _replay(
-    machine: CounterMachine, tape: tuple[str, ...], choices: tuple[int, ...]
-) -> list[Config]:
-    trail = [(machine.initial, 0)]
-    config = trail[0]
+def _replay(machine: CounterMachine, tape: tuple[str, ...], choices: tuple[int, ...]) -> list[int]:
+    kernel = compiled(machine)
+    trail = [kernel.initial]
     for symbol, choice in zip(tape, choices):
-        entries = _row(machine, config, symbol)
-        if choice >= len(entries):
+        row = _branches(kernel, trail[-1], symbol)
+        if choice >= len(row):
             raise SimulationError("replayed path left the transition table")
-        target, delta, _weight = entries[choice]
-        config = (target, config[1] + delta)
-        trail.append(config)
+        trail.append(trail[-1] + row[choice][0])
     return trail
 
 
@@ -415,21 +410,20 @@ def pump_u1bca(
     choices, trail = found
 
     # trail[1 + j] is the configuration after the left endmarker and j a's.
-    repeat = _first_repeat(state for state, _ in trail[1 : n1 + 2])
+    kernel = compiled(machine)
+    repeat = _first_repeat(config % kernel.size for config in trail[1 : n1 + 2])
     if repeat is None:  # unreachable: n1 exceeds the state count
         raise SimulationError("no repeated state in the first block")
     i, j = repeat
-    state = trail[1 + i][0]
     gap = j - i
     segment = choices[1 + i : 1 + j]
 
     rest_choices = choices[1 + j :]
-    kernel = compiled(machine)
     for copies in (1, 2):
         pumped_word = "a" * (n1 + copies * gap) + word[n1:]
         pumped_choices = choices[: 1 + j] + segment * copies + rest_choices
         final = _replay(machine, tape_of(pumped_word, machine.alphabet), pumped_choices)[-1]
-        if kernel.kind(kernel.config_id(*final)) != ACCEPT:
+        if kernel.kind(final) != ACCEPT:
             break
     else:  # unreachable: the two pumped counters cannot both be 0
         raise SimulationError("both pumped paths accept; drift analysis violated")
@@ -443,9 +437,9 @@ def pump_u1bca(
         kind="pumped-reject",
         base_word=word,
         witness_word=pumped_word,
-        repeated_state=state,
+        repeated_state=kernel.names[trail[1 + i] % kernel.size],
         pump_gap=gap,
-        final_config=final,
+        final_config=kernel.config(final),
         detail="a rejecting path pumped through the first-block cycle rejects "
         "a member of the complement of (a^n b^n)*",
     )
@@ -463,9 +457,9 @@ def exact_rule() -> Rule:
 
     def rule(label: str, verdict: Verdict) -> Optional[str]:
         if label == YES and verdict.accept != 1:
-            return f"expected accept=1 on a yes-instance, got {verdict.accept}"
+            return format_exact("expected accept=1 on a yes-instance, got {}", verdict.accept)
         if label == NO and verdict.accept != 0:
-            return f"expected accept=0 on a no-instance, got {verdict.accept}"
+            return format_exact("expected accept=0 on a no-instance, got {}", verdict.accept)
         return None
 
     return rule
@@ -477,9 +471,9 @@ def threshold_rule(theta: Fraction = Fraction(1, 2)) -> Rule:
     def rule(label: str, verdict: Verdict) -> Optional[str]:
         decided_yes = verdict.accept > theta
         if label == YES and not decided_yes:
-            return f"accept {verdict.accept} <= {theta} on a yes-instance"
+            return format_exact("accept {} <= {} on a yes-instance", verdict.accept, theta)
         if label == NO and decided_yes:
-            return f"accept {verdict.accept} > {theta} on a no-instance"
+            return format_exact("accept {} > {} on a no-instance", verdict.accept, theta)
         return None
 
     return rule
@@ -493,7 +487,7 @@ def exists_rule() -> Rule:
         if label == YES and not decided_yes:
             return "no accepting path on a yes-instance"
         if label == NO and decided_yes:
-            return f"accepting path (mass {verdict.accept}) on a no-instance"
+            return format_exact("accepting path (mass {}) on a no-instance", verdict.accept)
         return None
 
     return rule
@@ -505,7 +499,7 @@ def forall_rule() -> Rule:
     def rule(label: str, verdict: Verdict) -> Optional[str]:
         decided_yes = MachineClass.U1BCA.decides_yes(verdict.accept)
         if label == YES and not decided_yes:
-            return f"rejecting path (accept mass {verdict.accept}) on a yes-instance"
+            return format_exact("rejecting path (accept mass {}) on a yes-instance", verdict.accept)
         if label == NO and decided_yes:
             return "all paths accept on a no-instance"
         return None

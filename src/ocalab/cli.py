@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 from . import adversary as adversary_mod
 from . import zoo as zoo_mod
 from .classical import sample_run
-from .core import CounterMachine, EngineError, Verdict
+from .core import CounterMachine, EngineError, Verdict, format_exact
 from .dsl import emit, parse_with_diagnostics, read_source
 from .kernel import run_many, run_word
 from .problems import NO, YES, get_problem
@@ -51,7 +51,7 @@ EXIT_EXHAUSTED = 3
 
 
 def _fmt(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    return format_exact("{}/{}", value.numerator, value.denominator)
 
 
 def _verdict_fields(verdict: Verdict) -> dict[str, str]:

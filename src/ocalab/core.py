@@ -16,6 +16,7 @@ counter and never accepts.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -60,6 +61,20 @@ class FrozenTable(dict):
 def status_of(counter: int) -> Status:
     """Status of a counter value: ``Z`` iff it is exactly zero."""
     return Z if counter == 0 else NZ
+
+
+def format_exact(template: str, *values: object) -> str:
+    """``template.format(*values)`` with every digit of an exact value written out.
+
+    Python refuses to write an int of more than 4,300 digits; the limit is
+    lifted for this one conversion and then restored, so parsing keeps it.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return template.format(*values)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class EngineError(Exception):
@@ -359,7 +374,8 @@ def validate_machine(machine: CounterMachine) -> list[Violation]:
                 weights = [w for _, _, w in row if isinstance(w, Fraction)]
                 total = sum(weights)
                 wrong = len(weights) == len(row) and total != 1
-                problem = sum_problems[ids] = f"branch probabilities must sum to 1, got {total}" if wrong else ""
+                problem = format_exact("branch probabilities must sum to 1, got {}", total) if wrong else ""
+                sum_problems[ids] = problem
             if problem:
                 out.append(Violation("prob-sum", problem, key))
 

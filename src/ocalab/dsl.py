@@ -115,7 +115,10 @@ class _AmpError(Exception):
 
 
 def _parse_rational(text: str, index: int) -> Fraction:
+    """An exponent is refused: ``Fraction('1e-999999999')`` builds a 415 MB power of ten."""
     try:
+        if "e" in text or "E" in text:
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _AmpError(f"malformed rational {text!r}", index) from exc

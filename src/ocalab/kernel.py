@@ -8,7 +8,9 @@ compiled form is cached on the (immutable) machine:
 - every (state, symbol, status) row is either a *move* (one branch of
   weight 1), stored as the int offset ``delta*S + target - source`` that
   carries a configuration to its successor, or a tuple of
-  (offset, integer weight) branches over one denominator per symbol;
+  (offset, integer weight) branches over one denominator per symbol; a
+  symbol's rows are one list per counter status (:class:`SymbolTable`),
+  read alike by the loops here and the adversary's single-path walks;
 - classical masses are ints, quantum amplitudes are integer 4-tuples
   (a, b, c, d) meaning (a + b*sqrt2) + i*(c + d*sqrt2).
 
@@ -149,39 +151,35 @@ def _scaled(part: Fraction, den: int) -> int:
 class SymbolTable:
     """Compiled rows of one tape symbol.
 
-    ``moves_z[s]``/``moves_nz[s]`` hold the move offset of state ``s`` on a
-    zero / nonzero counter, or None when the row branches; the branching
-    rows are in ``branch_z``/``branch_nz``, weights over ``den``.
+    ``rows_z[s]``/``rows_nz[s]`` hold the row of state ``s`` on a zero /
+    nonzero counter: the int offset of its one weight-1 move, or a tuple of
+    (offset, weight) branches, weights over ``den``.
     ``reads_counter`` is whether some zero row differs from its nonzero row.
     ``walks`` caches :meth:`walk`, the one single-symbol cycle record.
     """
 
-    __slots__ = ("moves_z", "moves_nz", "branch_z", "branch_nz", "den", "reads_counter", "walks")
+    __slots__ = ("rows_z", "rows_nz", "den", "reads_counter", "walks")
 
-    def __init__(self, moves_z: list, moves_nz: list, branch_z: dict, branch_nz: dict, den: int) -> None:
-        self.moves_z = moves_z
-        self.moves_nz = moves_nz
-        self.branch_z = branch_z
-        self.branch_nz = branch_nz
+    def __init__(self, rows_z: list, rows_nz: list, den: int) -> None:
+        self.rows_z = rows_z
+        self.rows_nz = rows_nz
         self.den = den
-        self.reads_counter = moves_z != moves_nz or branch_z != branch_nz
+        self.reads_counter = rows_z != rows_nz
         self.walks: dict = {}
 
     def branches(self, state: int, zero: bool, unit: object) -> Branches:
         """The row of ``state`` as branches, a move given weight ``unit``."""
-        off = (self.moves_z if zero else self.moves_nz)[state]
-        if off is None:
-            return (self.branch_z if zero else self.branch_nz)[state]
-        return ((off, unit),)
+        row = (self.rows_z if zero else self.rows_nz)[state]
+        return ((row, unit),) if row.__class__ is int else row
 
     def walk(self, state: int) -> tuple[list, int | None]:
         """``state``'s moves on the nonzero rows, cached in ``walks``: the cumulative offsets
         to the first repeated state, and that state's first index (None: a branching row)."""
-        moves, at, offsets, seen = self.moves_nz, state, [0], {}
-        while at not in seen and moves[at] is not None:
+        rows, at, offsets, seen = self.rows_nz, state, [0], {}
+        while at not in seen and rows[at].__class__ is int:
             seen[at] = len(seen)
-            offsets.append(offsets[-1] + moves[at])
-            at = (state + offsets[-1]) % len(moves)
+            offsets.append(offsets[-1] + rows[at])
+            at = (state + offsets[-1]) % len(rows)
         return self.walks.setdefault(state, (offsets, seen.get(at)))
 
 
@@ -239,10 +237,6 @@ class Kernel:
     def config(self, config: int) -> tuple[str, int]:
         return self.names[config % self.size], config // self.size
 
-    def config_id(self, state: str, counter: int) -> int:
-        """Unknown state names behave like the sink, as in the total table."""
-        return counter * self.size + self.ids.get(state, self.size - 1)
-
 
 class Split(tuple):
     """A branching row of the grouped loop: (target id, delta, weight) triples."""
@@ -255,15 +249,12 @@ def _grouped_rows(table: SymbolTable, size: int) -> list:
     :class:`Split`; equal branching rows are one object."""
     rows: list = []
     splits: dict[Split, Split] = {}
-    for state, off in enumerate(table.moves_z):
-        if off is None:
-            row = Split(
-                ((state + off) % size, (state + off) // size, weight)
-                for off, weight in table.branch_z[state]
-            )
-            rows.append(splits.setdefault(row, row))
+    for state, row in enumerate(table.rows_z):
+        if row.__class__ is int:
+            rows.append(((state + row) % size, (state + row) // size))
         else:
-            rows.append(((state + off) % size, (state + off) // size))
+            split = Split(((state + off) % size, (state + off) // size, weight) for off, weight in row)
+            rows.append(splits.setdefault(split, split))
     return rows
 
 
@@ -308,40 +299,37 @@ def _tables(
     # Moves are stored as offsets, the sink's offset by default.
     default = [sink - state for state in range(size)]
     default[sink] = 0
-    moves = {symbol: (list(default), list(default)) for symbol in symbols}
-    branching: dict[str, list] = {symbol: [] for symbol in moves}
+    compiled_rows = {symbol: (list(default), list(default)) for symbol in symbols}
+    branching: dict[str, list] = {symbol: [] for symbol in compiled_rows}
     for (state, symbol, status), row in rows:
-        if state == SINK or symbol not in moves or status not in (Z, NZ):
+        if state == SINK or symbol not in compiled_rows or status not in (Z, NZ):
             continue
         source = ids[state]
-        zero = status == Z
+        into = compiled_rows[symbol][status == NZ]
         if len(row) == 1 and parts_of(row[0][2])[1]:
             target, delta, _ = row[0]
-            moves[symbol][0 if zero else 1][source] = delta * size + ids[target] - source
+            into[source] = delta * size + ids[target] - source
             continue
         branches = [
             (delta * size + ids[target] - source, parts_of(weight)[0])
             for target, delta, weight in row
         ]
         branches = [branch for branch in branches if any(branch[1])]  # a zero weight adds nothing
-        branching[symbol].append((source, zero, branches))
+        branching[symbol].append((into, source, branches))
 
     tables = {}
-    for symbol, (moves_z, moves_nz) in moves.items():
-        rows = branching[symbol]
+    for symbol, (rows_z, rows_nz) in compiled_rows.items():
+        branched = branching[symbol]
         den = lcm(
-            *(part.denominator for _, _, branches in rows for _, parts in branches for part in parts)
+            *(part.denominator for _, _, branches in branched for _, parts in branches for part in parts)
         )
-        branch_z: dict[int, Branches] = {}
-        branch_nz: dict[int, Branches] = {}
 
         def weight_of(parts: tuple[Fraction, ...]) -> object:
             return Quad(*(_scaled(p, den) for p in parts)) if quantum else _scaled(parts[0], den)
 
-        for source, zero, branches in rows:
-            (moves_z if zero else moves_nz)[source] = None
-            (branch_z if zero else branch_nz)[source] = tuple((off, weight_of(parts)) for off, parts in branches)
-        tables[symbol] = SymbolTable(moves_z, moves_nz, branch_z, branch_nz, den)
+        for into, source, branches in branched:
+            into[source] = tuple((off, weight_of(parts)) for off, parts in branches)
+        tables[symbol] = SymbolTable(rows_z, rows_nz, den)
     return tables
 
 
@@ -387,17 +375,17 @@ def propagate(
         tables = kernel.tables
     for symbol in tape:
         table = tables[symbol]
-        moves_z, moves_nz = table.moves_z, table.moves_nz
+        rows_z, rows_nz = table.rows_z, table.rows_nz
         out: IntDist = {}
         get = out.get
         pending = None
         for config, value in dist.items():
             state = config % size
-            off = moves_z[state] if config == state else moves_nz[state]
-            if off is None:
+            off = rows_z[state] if config == state else rows_nz[state]
+            if off.__class__ is tuple:
                 if pending is None:
                     pending = []
-                pending.append((config, value, state))
+                pending.append((config, value, off))
                 continue
             config += off
             prev = get(config)
@@ -425,9 +413,8 @@ def _branch(out: IntDist, pending: list, den: int, table: SymbolTable, quantum: 
             out[config] = value * step_den
         den *= step_den
     get = out.get
-    branch_z, branch_nz = table.branch_z, table.branch_nz
-    for config, value, state in pending:
-        for off, weight in (branch_z if config == state else branch_nz)[state]:
+    for config, value, row in pending:
+        for off, weight in row:
             target = config + off
             prev = get(target)
             product = value * weight
@@ -770,10 +757,10 @@ def from_exact(kernel: Kernel, dist: Mapping[tuple[str, int], object]) -> tuple[
     else:
         den = lcm(*(mass.denominator for mass in dist.values()))
         items = [(key, _scaled(mass, den)) for key, mass in dist.items()]
-    config_id = kernel.config_id
+    ids, size = kernel.ids, kernel.size
     out: IntDist = {}
-    for key, value in items:
-        config = config_id(*key)
+    for (state, counter), value in items:
+        config = counter * size + ids.get(state, size - 1)
         prev = out.get(config)
         out[config] = value if prev is None else prev + value
     return out, den

@@ -25,6 +25,7 @@ from .core import (
     SimulationError,
     Verdict,
     Violation,
+    format_exact,
     status_of,
     tape_of,
 )
@@ -135,8 +136,10 @@ class UnitarityReport:
                 out.append(
                     Violation(
                         kind,
-                        f"on {symbol!r}, configurations {config_a} and {config_b} "
-                        f"give inner product {product!r}",
+                        format_exact(
+                            "on {!r}, configurations {} and {} give inner product {!r}",
+                            symbol, config_a, config_b, product,
+                        ),
                         key,
                     )
                 )

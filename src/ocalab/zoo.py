@@ -25,6 +25,7 @@ from .core import (
     TransEntry,
     TransTable,
     Verdict,
+    format_exact,
 )
 from .problems import NO, ONENONE_T_MAX, YES
 
@@ -70,19 +71,23 @@ class ClaimedBounds:
         rejects a yes-instance or accepts a no-instance breaks them too.
         """
         if verdict.neutral > self.dontknow_max:
-            return f"dontknow {verdict.neutral} exceeds bound {self.dontknow_max}"
+            return format_exact("dontknow {} exceeds bound {}", verdict.neutral, self.dontknow_max)
         if las_vegas and verdict.accept > 0 and verdict.reject > 0:
             return "both accept and reject have positive probability"
         if label == YES:
             if verdict.accept < self.accept_on_yes_min:
-                return f"accept {verdict.accept} below claimed yes-bound {self.accept_on_yes_min}"
+                return format_exact(
+                    "accept {} below claimed yes-bound {}", verdict.accept, self.accept_on_yes_min
+                )
             if las_vegas and verdict.reject > 0:
-                return f"reject probability {verdict.reject} on a yes-instance"
+                return format_exact("reject probability {} on a yes-instance", verdict.reject)
         if label == NO:
             if verdict.accept > self.accept_on_no_max:
-                return f"accept {verdict.accept} above claimed no-bound {self.accept_on_no_max}"
+                return format_exact(
+                    "accept {} above claimed no-bound {}", verdict.accept, self.accept_on_no_max
+                )
             if las_vegas and verdict.accept > 0:
-                return f"accept probability {verdict.accept} on a no-instance"
+                return format_exact("accept probability {} on a no-instance", verdict.accept)
         return None
 
 

@@ -146,6 +146,67 @@ def ref_analyze_cycle(machine, start, symbol):
     )
 
 
+def _ref_row(machine, config, symbol):
+    state, counter = config
+    return machine.entries(state, symbol, status_of(counter))
+
+
+def _ref_step_deterministic(machine, config, symbol):
+    target, delta, _ = _ref_row(machine, config, symbol)[0]
+    return (target, config[1] + delta)
+
+
+def ref_prefix_configs(machine, bound):
+    """``adversary._prefix_configs`` as a walk on state names: the
+    (state, counter) after cent 0^a # 0^b #, by (b, a), even a, b."""
+    config = _ref_step_deterministic(machine, (machine.initial, 0), LEFT_END)
+    starts = []
+    for a in range(1, bound + 1):
+        config = _ref_step_deterministic(machine, config, "0")
+        if a % 2 == 0:
+            starts.append((a, _ref_step_deterministic(machine, config, "#")))
+    out = []
+    for b in range(1, bound + 1):
+        starts = [(a, _ref_step_deterministic(machine, config, "0")) for a, config in starts]
+        if b % 2 == 0:
+            out.extend(((a, b), _ref_step_deterministic(machine, config, "#")) for a, config in starts)
+    return out
+
+
+def ref_find_rejecting_path(machine, tape, node_budget):
+    """``adversary._find_rejecting_path`` as a walk on state names: branch
+    indices into ``machine.entries`` rows and the (state, counter) trail.
+    For blind machines, which accept only at counter 0."""
+    stack = [((machine.initial, 0), 0, ())]
+    visited = 0
+    while stack:
+        config, pos, choices = stack.pop()
+        visited += 1
+        if visited > node_budget:
+            raise SimulationError(f"path search exceeded the node budget {node_budget}")
+        if pos == len(tape):
+            state, counter = config
+            if not (state in machine.accepting and counter == 0):
+                return choices, ref_replay(machine, tape, choices)
+            continue
+        entries = _ref_row(machine, config, tape[pos])
+        for index in range(len(entries) - 1, -1, -1):
+            target, delta, _ = entries[index]
+            stack.append(((target, config[1] + delta), pos + 1, choices + (index,)))
+    return None
+
+
+def ref_replay(machine, tape, choices):
+    trail = [(machine.initial, 0)]
+    for symbol, choice in zip(tape, choices):
+        entries = _ref_row(machine, trail[-1], symbol)
+        if choice >= len(entries):
+            raise SimulationError("replayed path left the transition table")
+        target, delta, _ = entries[choice]
+        trail.append((target, trail[-1][1] + delta))
+    return trail
+
+
 # ---------------------------------------------------------------------------
 # Quantum.
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from ocalab import (
     emit,
     generate,
     get_entry,
+    get_problem,
     initial_distribution,
     parse,
     run,
@@ -60,6 +61,7 @@ from ocalab.adversary import (
     pump_u1bca,
 )
 from ocalab.cli import EXIT_OK, main
+from ocalab.kernel import run_many
 from ocalab.quantum import check_unitarity
 
 
@@ -411,3 +413,18 @@ def test_criterion_12_brute_refutation_sweep(m1):
     assert refutation.label == "no"
     assert refutation.reason == "expected accept=0 on a no-instance, got 1"
     report(12, "no zoo machine refuted at its claimed bounds; m1 refuted exactly")
+
+
+def test_eq_star_complement_claim_at_its_ceiling_carries_over_to_lang_l(complement, lang_l_k3):
+    entry = get_entry("eq-star-complement-d1ca")
+    problem = get_problem(entry.problem)
+    assert problem.ceiling == 16
+    assert brute_refute(complement, entry.problem, problem.ceiling, bounds_rule(entry.claimed_bounds)) is None
+
+    # lang-L's {a,b} side is the d1ca renamed: the same verdict on every
+    # nonempty {a,b} word up to 16.  The empty word is in L (it is in eq3).
+    words = [word for word, _ in problem.instances(problem.ceiling)]
+    assert len(words) == 2**17 - 1 and words[0] == ""
+    ours, theirs = list(run_many(lang_l_k3, words)), list(run_many(complement, words))
+    assert (ours[0].accept, theirs[0].accept) == (1, 0)
+    assert ours[1:] == theirs[1:]

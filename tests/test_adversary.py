@@ -26,12 +26,14 @@ from helpers import (
 from ocalab import (
     SINK,
     EngineError,
+    MachineClass,
     SimulationError,
     Verdict,
     classify_eqstar,
     classify_xoreq,
     get_problem,
     run,
+    tape_of,
     validate_machine,
 )
 from ocalab import adversary
@@ -56,7 +58,8 @@ from ocalab.adversary import (
 )
 from ocalab.kernel import compiled
 from ocalab.zoo import build_m1, build_m2
-from reference import ref_analyze_cycle
+from reference import ref_analyze_cycle, ref_find_rejecting_path, ref_prefix_configs, ref_replay
+from test_kernel import small_machines
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +166,20 @@ def test_sigma_partition_frozen(complement):
 
 
 @st.composite
-def deterministic_machines(draw):
-    """A valid d1ca or d1bca over {a, b} with 1..5 states, some rows dropped."""
+def deterministic_machines(draw, alphabet="ab"):
+    """A valid d1ca or d1bca over ``alphabet`` with 1..5 states, some rows dropped."""
     tag = draw(st.sampled_from(("d1ca", "d1bca")))
     states = tuple(f"q{i}" for i in range(draw(st.integers(1, 5))))
     max_step = draw(st.integers(1, 3))
     branch = st.tuples(st.sampled_from(states), st.integers(-max_step, max_step))
     rows = []
     for state in states:
-        for symbol in (L, "a", "b", R):
+        for symbol in (L, *alphabet, R):
             for status in ("*",) if tag == "d1bca" else ("Z", "NZ"):
                 if draw(st.integers(0, 5)):  # one row in six falls into the sink
                     target, delta = draw(branch)
                     rows.append((state, symbol, status, [(target, delta, F(1))]))
-    return mk("rand", tag, "ab", states, states[0], states[:1], rows, max_step=max_step)
+    return mk("rand", tag, alphabet, states, states[0], states[:1], rows, max_step=max_step)
 
 
 def nonzero_cycle(machine, state, symbol):
@@ -393,6 +396,25 @@ def test_fooling_collision_budget(m1):
         fool_xoreq_d1ca(m1, n=2)
 
 
+@settings(max_examples=150, deadline=None)
+@given(deterministic_machines(alphabet="0#"), st.integers(1, 12))
+def test_prefix_configs_match_the_name_walk(machine, bound):
+    config = compiled(machine).config
+    prefixes = adversary._prefix_configs(machine, bound)
+    assert [(prefix, config(c)) for prefix, c in prefixes] == ref_prefix_configs(machine, bound)
+
+
+def test_fooling_refuses_a_row_whose_only_branch_weighs_nothing():
+    # validate_machine refuses this hand-built row; it compiles to no branch at all.
+    machine = mk(
+        "zero-row", "d1ca", "0#", ("s",), "s", ("s",),
+        [("s", L, "*", [("s", 0, F(1))]), ("s", "0", "*", [("s", 1, F(0))])],
+    )
+    assert validate_machine(machine)
+    with pytest.raises(SimulationError, match=r"^state 's' has no branch of nonzero weight on '0'$"):
+        fool_xoreq_d1ca(machine)
+
+
 # ---------------------------------------------------------------------------
 # Pumping refutations against universal machines.
 # ---------------------------------------------------------------------------
@@ -475,6 +497,34 @@ def test_pump_path_ending_accepting_at_a_nonzero_counter_rejects():
     ref = pump_u1bca(machine)
     assert (ref.kind, ref.base_word, ref.witness_word) == ("pumped-reject", "aabb", "aaabb")
     assert (ref.repeated_state, ref.pump_gap, ref.final_config) == ("s", 1, ("s", 3))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SimulationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_machines((MachineClass.U1BCA,)), st.data())
+def test_rejecting_paths_and_replays_match_the_name_walk(machine, data):
+    # The compiled search and replay against the reference's walks on state
+    # names: the same branch indices and trails, budget errors included.
+    config = compiled(machine).config
+    word = data.draw(st.text(alphabet=machine.alphabet, max_size=6))
+    tape = tuple(tape_of(word, machine.alphabet))
+    budget = data.draw(st.integers(1, 300))
+    found = _outcome(adversary._find_rejecting_path, machine, tape, budget)
+    if found is not None and not isinstance(found, str):
+        found = (found[0], [config(c) for c in found[1]])
+    assert found == _outcome(ref_find_rejecting_path, machine, tape, budget)
+
+    choices = tuple(data.draw(st.lists(st.integers(0, 3), max_size=len(tape))))
+    trail = _outcome(adversary._replay, machine, tape, choices)
+    if not isinstance(trail, str):
+        trail = [config(c) for c in trail]
+    assert trail == _outcome(ref_replay, machine, tape, choices)
 
 
 def test_pump_witnesses_refute_universal_acceptance():

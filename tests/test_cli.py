@@ -148,6 +148,64 @@ def test_run_sample_matches_library(capsys):
     assert capsys.readouterr().out == expected + "\n"
 
 
+def _all_digits(*values):
+    """The text of each value, every digit written out."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(value) for value in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+TWO_WEIGHTS_CMA = (
+    "machine w\nclass {}\nalphabet a\nstates s r\ninitial s\naccept s\nmaxstep 1\n\n"
+    "trans s , a , * -> s , 0 @ {}\ntrans s , a , * -> r , 0 @ {}\n"
+    "trans s , LEND , * -> s , 0\ntrans s , REND , * -> s , 0\n"
+)
+
+
+def test_exact_values_past_the_int_digit_limit_are_written_whole(tmp_path, capsys):
+    # Python writes no int of more than 4,300 digits by default; 2**14300 has 4,305.
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "half.cma"
+    path.write_text(TWO_WEIGHTS_CMA.format("p1ca", "1/2", "1/2"), encoding="utf-8")
+    assert main(["run", str(path), "--input", "a" * 14300]) == EXIT_OK
+    den, rest = _all_digits(2**14300, 2**14300 - 1)
+    assert capsys.readouterr().out == f"accept=1/{den} reject={rest}/{den} dontknow=0/1\n"
+
+    # Denominators of 2,201 digits parse; their sum's 4,401-digit one is a diagnostic.
+    big = 10**2200
+    path.write_text(TWO_WEIGHTS_CMA.format("p1ca", f"1/{big + 1}", f"1/{big + 3}"), encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    [total] = _all_digits(Fraction(1, big + 1) + Fraction(1, big + 3))
+    assert capsys.readouterr().out == "".join(
+        f"9:1: error: [prob-sum] (s, a, {status}): branch probabilities must sum to 1, got {total}\n"
+        for status in ("NZ", "Z")
+    )
+
+    # A unitarity violation's inner product, 1/(10**2200 + 1)**2.
+    path.write_text(TWO_WEIGHTS_CMA.format("q1ca", f"1/{big + 1}", "1"), encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    [norm] = _all_digits(Fraction(1, (big + 1) ** 2))
+    assert f"give inner product Amplitude({norm}, 0, 0, 0)\n" in capsys.readouterr().out
+
+    # A brute refutation's reason: each symbol of the tape of the first
+    # yes-instance, ¢adaabddd$, keeps 1/(10**600 + 1) of the accept mass.
+    small = 10**600 + 1
+    rows = "".join(
+        f"trans s , {x} , * -> s , 0 @ 1/{small}\ntrans s , {x} , * -> r , 0 @ {small - 1}/{small}\n"
+        for x in ("a", "b", "d", "LEND", "REND")
+    )
+    header = "machine w\nclass p1ca\nalphabet a b d\nstates s r\ninitial s\naccept s\n"
+    path.write_text(header + rows, encoding="utf-8")
+    assert main(["adversary", "brute", str(path), "--problem", "one-none-t1", "--max-n", "8"]) == EXIT_OK
+    [accept] = _all_digits(Fraction(1, small**10))
+    record = json.loads(capsys.readouterr().out)
+    assert (record["input"], record["reason"]) == ("adaabddd", f"accept {accept} <= 1/2 on a yes-instance")
+    assert sys.get_int_max_str_digits() == limit
+
+
 # ---------------------------------------------------------------------------
 # batch
 # ---------------------------------------------------------------------------

@@ -241,6 +241,21 @@ def test_diagnostics_weight_texts(mclass, weight, diagnostic):
     assert [str(e) for e in errors] == [diagnostic]
 
 
+def test_weights_with_an_exponent_are_refused():
+    # Fraction reads an exponent by building its power of ten, so one short
+    # token such as 1e-999999999 would take minutes and hundreds of MB.
+    header = "machine w\nclass {}\nalphabet a\nstates s t\ninitial s\naccept s\n"
+    classical = header.format("p1ca") + (
+        "trans s , a , Z -> s , 0 @ 1e-1\ntrans s , a , Z -> t , 0 @ 9E-1\n"
+    )
+    assert [str(e) for e in errors_of(classical)[1]] == [
+        "7:28: error: malformed rational '1e-1'",
+        "8:28: error: malformed rational '9E-1'",
+    ]
+    quantum = header.format("q1ca") + "trans s , a , Z -> s , 0 @ 1/2 + 1e0 r2\n"
+    assert [str(e) for e in errors_of(quantum)[1]] == ["7:34: error: malformed rational '1e0'"]
+
+
 def test_diagnostics_duplicate_branch_line():
     base = "machine w\nclass n1bca\nalphabet a\nstates s\ninitial s\naccept s\n"
     _, errors = errors_of(
