@@ -11,16 +11,17 @@ compiled form is cached on the (immutable) machine:
   (offset, integer weight) branches over one denominator per symbol; a
   symbol's rows are one list per counter status (:class:`SymbolTable`),
   read alike by the loops here and the adversary's single-path walks;
-- classical masses are ints, quantum amplitudes are integer 4-tuples
-  (a, b, c, d) meaning (a + b*sqrt2) + i*(c + d*sqrt2).
+- classical masses are ints, quantum amplitudes are ``amplitudes.Quad``
+  integer 4-tuples (a, b, c, d) meaning (a + b*sqrt2) + i*(c + d*sqrt2).
 
 A distribution is ``{config: value}`` over one common denominator ``D``.
 Moves never touch ``D``.  A step that takes a multi-branch row scales the
 whole distribution by the symbol's denominator and then divides
 everything by the gcd, so ``D`` only grows by what the weights really
-need.  Exact ``Fraction``/``Amplitude`` values appear only at the edges:
-reading a verdict, reporting unitarity violations, and the public
-``step``/``evolve`` wrappers.
+need.  Exact values appear only at the edges (compiling weights, reading a
+verdict, reporting unitarity violations, the public ``step``/``evolve``
+wrappers), and each is a (numerator, denominator) pair, as a ``Fraction``
+is an int over an int and an ``Amplitude`` a ``Quad`` over an int.
 
 A blind machine whose rows never read the counter is stepped by
 :func:`advance` in dense per-state groups instead, ``{state: (low, [mass at
@@ -50,7 +51,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .amplitudes import Amplitude
+from .amplitudes import QZERO, Amplitude, Quad
 from .core import (
     ENDMARKERS,
     LEFT_END,
@@ -79,68 +80,6 @@ MEMO_CONFIGS = 1 << 16
 
 class MeasurementError(SimulationError):
     """A final probability failed an exactness check (bad norm or sqrt2 residue)."""
-
-
-# ---------------------------------------------------------------------------
-# Ring arithmetic on integer 4-tuples of Z[sqrt2] + i*Z[sqrt2].
-# ---------------------------------------------------------------------------
-
-
-class Quad(tuple):
-    """(a, b, c, d) = (a + b*sqrt2) + i*(c + d*sqrt2), all four ints.
-
-    ``+`` and ``*`` are the ring operations (``*`` also takes a plain int),
-    so the kernel's one loop runs unchanged on int masses and on these.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a: int, b: int = 0, c: int = 0, d: int = 0) -> "Quad":
-        return _new_quad(cls, (a, b, c, d))
-
-    def __add__(self, other: "Quad") -> "Quad":  # type: ignore[override]
-        return _new_quad(
-            Quad, (self[0] + other[0], self[1] + other[1], self[2] + other[2], self[3] + other[3])
-        )
-
-    def __mul__(self, other: "Quad | int") -> "Quad":  # type: ignore[override]
-        a, b, c, d = self
-        if isinstance(other, int):
-            return _new_quad(Quad, (a * other, b * other, c * other, d * other))
-        # (A + iC)(E + iG) with A = a + b*sqrt2, C = c + d*sqrt2, and so on.
-        e, f, g, h = other
-        return _new_quad(
-            Quad,
-            (
-                a * e + 2 * b * f - c * g - 2 * d * h,
-                a * f + b * e - c * h - d * g,
-                a * g + 2 * b * h + c * e + 2 * d * f,
-                a * h + b * g + c * f + d * e,
-            ),
-        )
-
-    def conjugate(self) -> "Quad":
-        return _new_quad(Quad, (self[0], self[1], -self[2], -self[3]))
-
-    def __floordiv__(self, n: int) -> "Quad":
-        return _new_quad(Quad, (self[0] // n, self[1] // n, self[2] // n, self[3] // n))
-
-    @classmethod
-    def of(cls, amp: Amplitude, den: int) -> "Quad":
-        """The integer coordinates of ``amp * den`` (``den`` must clear them)."""
-        return _new_quad(cls, tuple(_scaled(part, den) for part in amp._parts()))
-
-    def amplitude(self, den: int) -> Amplitude:
-        """This element divided by ``den``, as an exact Amplitude."""
-        return Amplitude(*(Fraction(part, den) for part in self))
-
-
-_new_quad = tuple.__new__
-QZERO = Quad(0)
-
-
-def _scaled(part: Fraction, den: int) -> int:
-    return part.numerator * (den // part.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +197,13 @@ def _grouped_rows(table: SymbolTable, size: int) -> list:
     return rows
 
 
-def _weight_parts(machine: CounterMachine, weight: object) -> tuple[Fraction, ...]:
-    if machine.mclass.quantum:
-        if isinstance(weight, (int, Fraction)):
-            weight = Amplitude(weight)
-        if not isinstance(weight, Amplitude):
-            raise SimulationError(
-                f"machine {machine.name!r}: quantum transitions need Amplitude weights"
-            )
-        return weight._parts()
-    if not isinstance(weight, (int, Fraction)):
-        raise SimulationError(
-            f"machine {machine.name!r}: classical transitions need Fraction weights"
-        )
-    return (Fraction(weight),)
+def _ratio(value: object, quantum: bool) -> tuple:
+    """An exact value as (numerator, denominator): an int or ``Fraction`` as
+    two ints, or, on a quantum machine, as an ``Amplitude``'s ``quad`` and ``den``."""
+    if quantum:
+        amp = Amplitude._coerce(value)
+        return amp.quad, amp.den
+    return value.numerator, value.denominator
 
 
 def _tables(
@@ -284,16 +216,22 @@ def _tables(
     :class:`SymbolTable` per symbol of ``symbols``; unlisted rows and the
     sink's own rows drop into the sink."""
     quantum = machine.mclass.quantum
+    if quantum:
+        exact, need = (int, Fraction, Amplitude), "quantum transitions need Amplitude weights"
+        zero, one = QZERO, Quad(1)
+    else:
+        exact, need = (int, Fraction), "classical transitions need Fraction weights"
+        zero, one = 0, 1
     size = len(ids)
     sink = size - 1
-    one = _weight_parts(machine, 1)
-    known: dict[int, tuple] = {}  # id(weight) -> (its exact parts, whether it is 1)
+    known: dict[int, tuple] = {}  # id(weight) -> its (numerator, denominator)
 
-    def parts_of(weight: object) -> tuple:
+    def ratio_of(weight: object) -> tuple:
         hit = known.get(id(weight))
         if hit is None:
-            parts = _weight_parts(machine, weight)
-            hit = known[id(weight)] = (parts, parts == one)
+            if not isinstance(weight, exact):
+                raise SimulationError(f"machine {machine.name!r}: {need}")
+            hit = known[id(weight)] = _ratio(weight, quantum)
         return hit
 
     # Moves are stored as offsets, the sink's offset by default.
@@ -306,29 +244,22 @@ def _tables(
             continue
         source = ids[state]
         into = compiled_rows[symbol][status == NZ]
-        if len(row) == 1 and parts_of(row[0][2])[1]:
+        if len(row) == 1 and ratio_of(row[0][2]) == (one, 1):
             target, delta, _ = row[0]
             into[source] = delta * size + ids[target] - source
             continue
         branches = [
-            (delta * size + ids[target] - source, parts_of(weight)[0])
-            for target, delta, weight in row
+            (delta * size + ids[target] - source, *ratio_of(weight)) for target, delta, weight in row
         ]
-        branches = [branch for branch in branches if any(branch[1])]  # a zero weight adds nothing
+        branches = [branch for branch in branches if branch[1] != zero]  # a zero weight adds nothing
         branching[symbol].append((into, source, branches))
 
     tables = {}
     for symbol, (rows_z, rows_nz) in compiled_rows.items():
         branched = branching[symbol]
-        den = lcm(
-            *(part.denominator for _, _, branches in branched for _, parts in branches for part in parts)
-        )
-
-        def weight_of(parts: tuple[Fraction, ...]) -> object:
-            return Quad(*(_scaled(p, den) for p in parts)) if quantum else _scaled(parts[0], den)
-
+        den = lcm(*(d for _, _, branches in branched for _, _, d in branches))
         for into, source, branches in branched:
-            into[source] = tuple((off, weight_of(parts)) for off, parts in branches)
+            into[source] = tuple((off, num * (den // d)) for off, num, d in branches)
         tables[symbol] = SymbolTable(rows_z, rows_nz, den)
     return tables
 
@@ -749,18 +680,15 @@ def from_exact(kernel: Kernel, dist: Mapping[tuple[str, int], object]) -> tuple[
     for key, value in dist.items():
         if not isinstance(value, exact):
             raise SimulationError(f"{key!r} holds {value!r}, not one of {', '.join(t.__name__ for t in exact)}")
-    if kernel.quantum:
-        vector = [(key, Amplitude._coerce(amp)) for key, amp in dist.items()]
-        vector = [(key, amp) for key, amp in vector if not amp.is_zero()]
-        den = lcm(*(part.denominator for _, amp in vector for part in amp._parts()))
-        items = [(key, Quad.of(amp, den)) for key, amp in vector]
-    else:
-        den = lcm(*(mass.denominator for mass in dist.values()))
-        items = [(key, _scaled(mass, den)) for key, mass in dist.items()]
+    items = [(key, _ratio(value, kernel.quantum)) for key, value in dist.items()]
+    if kernel.quantum:  # exact-zero amplitudes are not part of a vector
+        items = [item for item in items if item[1][0] != QZERO]
+    den = lcm(*(d for _, (_, d) in items))
     ids, size = kernel.ids, kernel.size
     out: IntDist = {}
-    for (state, counter), value in items:
+    for (state, counter), (num, d) in items:
         config = counter * size + ids.get(state, size - 1)
+        value = num * (den // d)
         prev = out.get(config)
         out[config] = value if prev is None else prev + value
     return out, den
@@ -768,10 +696,8 @@ def from_exact(kernel: Kernel, dist: Mapping[tuple[str, int], object]) -> tuple[
 
 def to_exact(kernel: Kernel, dist: IntDist, den: int) -> dict:
     """The compiled distribution as ``Fraction`` masses or ``Amplitude`` values."""
-    config = kernel.config
-    if kernel.quantum:
-        return {config(key): amp.amplitude(den) for key, amp in dist.items()}
-    return {config(key): Fraction(mass, den) for key, mass in dist.items()}
+    config, exact = kernel.config, Amplitude.over if kernel.quantum else Fraction
+    return {config(key): exact(value, den) for key, value in dist.items()}
 
 
 def step_exact(machine: CounterMachine, dist: Mapping[tuple[str, int], object], symbol: str) -> dict:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import kernel as _kernel
-from .amplitudes import AMP_ONE, Amplitude
+from .amplitudes import AMP_ONE, QZERO, Amplitude, Quad
 from .core import (
     SINK,
     CounterMachine,
@@ -147,10 +147,10 @@ class UnitarityReport:
 
 
 def _gram_violations(
-    vectors: dict[int, dict[int, _kernel.Quad]],
+    vectors: dict[int, dict[int, Quad]],
     keys: list[int],
-    unit: _kernel.Quad,
-) -> list[tuple[int, int, _kernel.Quad]]:
+    unit: Quad,
+) -> list[tuple[int, int, Quad]]:
     """Orthonormality failures among ``vectors[key]`` for ``key`` in ``keys``.
 
     Two vectors have a nonzero inner product only if they share a support
@@ -162,9 +162,9 @@ def _gram_violations(
     """
     index = {key: i for i, key in enumerate(keys)}
     reach = Counter(chain.from_iterable(vectors.get(key, ()) for key in keys))
-    norms: dict[_kernel.Quad, _kernel.Quad] = {}  # one product per distinct entry
-    gram: dict[tuple[int, int], _kernel.Quad] = {}
-    buckets: dict[int, list[tuple[int, _kernel.Quad]]] = {}
+    norms: dict[Quad, Quad] = {}  # one product per distinct entry
+    gram: dict[tuple[int, int], Quad] = {}
+    buckets: dict[int, list[tuple[int, Quad]]] = {}
     for key in keys:
         vector = vectors.get(key, {})
         if len(vector) == 1:
@@ -188,11 +188,11 @@ def _gram_violations(
 
     violations = []
     for key in keys:
-        product = gram.pop((key, key), _kernel.QZERO)
+        product = gram.pop((key, key), QZERO)
         if product != unit:
             violations.append((key, key, product))
     for (key_a, key_b), product in gram.items():
-        if product != _kernel.QZERO:
+        if product != QZERO:
             violations.append((key_a, key_b, product))
     violations.sort(key=lambda entry: (index[entry[0]], index[entry[1]]))
     return violations
@@ -233,21 +233,21 @@ def check_unitarity(machine: CounterMachine) -> UnitarityReport:
     coisometry: list[PairEntry] = []
     for symbol in machine.tape_symbols:
         table = kernel.tables[symbol]
-        unit = _kernel.Quad(table.den)
-        columns: dict[int, dict[int, _kernel.Quad]] = {}
+        unit = Quad(table.den)
+        columns: dict[int, dict[int, Quad]] = {}
         for s in ids:
             for counter in range(-3 * m, 3 * m + 1):
                 source = counter * size + s
                 branches = table.branches(s, counter == 0, unit)
-                column: dict[int, _kernel.Quad] = {}
+                column: dict[int, Quad] = {}
                 for off, weight in branches:
                     prev = column.get(source + off)
                     column[source + off] = weight if prev is None else prev + weight
                 if len(column) < len(branches):  # only a sum can cancel to zero
-                    column = {key: amp for key, amp in column.items() if amp != _kernel.QZERO}
+                    column = {key: amp for key, amp in column.items() if amp != QZERO}
                 columns[source] = column
 
-        rows: dict[int, dict[int, _kernel.Quad]] = {}
+        rows: dict[int, dict[int, Quad]] = {}
         for source, column in columns.items():
             for target, amp in column.items():
                 if low <= target < high:
@@ -255,13 +255,13 @@ def check_unitarity(machine: CounterMachine) -> UnitarityReport:
 
         den2 = table.den * table.den
         for out, vectors in ((isometry, columns), (coisometry, rows)):
-            for key_a, key_b, product in _gram_violations(vectors, window, _kernel.Quad(den2)):
+            for key_a, key_b, product in _gram_violations(vectors, window, Quad(den2)):
                 out.append(
                     (
                         symbol,
                         kernel.config(key_a),
                         kernel.config(key_b),
-                        product.amplitude(den2),
+                        Amplitude.over(product, den2),
                     )
                 )
 

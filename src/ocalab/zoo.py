@@ -680,6 +680,14 @@ def _cap(k: int) -> ClaimedBounds:
     return ClaimedBounds(_ONE, Fraction(1, k), _ZERO)
 
 
+def _xoreq_mod(modulus: int) -> CounterMachine:
+    # 13 is the first odd modulus whose domain 2M + 1 reaches the xor-eq
+    # ceiling, and the machine grows as 16·M² run states.
+    if modulus > 13:
+        raise ValueError("modulus must be at most 13")
+    return build_xoreq_q1ca(modulus)
+
+
 # (name pattern, builder, problem, claimed bounds, note) per family.  The
 # pattern's group, if any, is the family parameter (an omitted one is 1):
 # it is passed to the builder and the bounds and formatted into the
@@ -694,6 +702,9 @@ _FAMILIES = (
      "solves only half of XOR-EQ (vacuous bounds)"),
     ("xoreq-q1ca", build_xoreq_q1ca, "xor-eq", lambda: ClaimedBounds(_ONE, _ZERO, _ZERO, max_n=11),
      "exact quantum XOR of two block equalities"),
+    (rf"xoreq-q1ca-mod{_NUM}", _xoreq_mod, "xor-eq",
+     lambda m: ClaimedBounds(_ONE, _ZERO, _ZERO, max_n=2 * m + 1),
+     "exact quantum XOR of two block equalities, blocks compared mod {}"),
     (rf"onenone-lv(?:-t{_NUM})?", build_onenone_lv_t, "one-none-t{}",
      lambda t: ClaimedBounds(1 - Fraction(2, 3) ** t, _ZERO, Fraction(2, 3) ** t),
      "Las Vegas block-pattern decider, {} pair(s): answers with probability 1-(2/3)^t, never wrongly"),

@@ -208,6 +208,49 @@ def ref_replay(machine, tape, choices):
 
 
 # ---------------------------------------------------------------------------
+# The amplitude ring, on (re_rat, re_sqrt2, im_rat, im_sqrt2) Fraction tuples.
+#
+# The package writes the ring's product once, in ``Quad``, and the kernel,
+# ``Amplitude`` and the quantum reference below all go through it.  These
+# are the four-Fraction formulas it used before, written apart from it.
+# ---------------------------------------------------------------------------
+
+
+def ref_parts(amp):
+    return amp.re_rat, amp.re_sqrt2, amp.im_rat, amp.im_sqrt2
+
+
+def _mul2(p, q, r, s):
+    # (p + q*sqrt2) * (r + s*sqrt2) in Q(sqrt2) coordinates.
+    return p * r + 2 * q * s, p * s + q * r
+
+
+def ref_ring_add(x, y):
+    return tuple(p + q for p, q in zip(x, y))
+
+
+def ref_ring_mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    # (A + iC)(E + iG) with A, C, E, G in Q(sqrt2).
+    re1 = _mul2(a, b, e, f)
+    re2 = _mul2(c, d, g, h)
+    im1 = _mul2(a, b, g, h)
+    im2 = _mul2(c, d, e, f)
+    return re1[0] - re2[0], re1[1] - re2[1], im1[0] + im2[0], im1[1] + im2[1]
+
+
+def ref_ring_conjugate(x):
+    a, b, c, d = x
+    return a, b, -c, -d
+
+
+def ref_ring_abs2(x):
+    a, b, c, d = x
+    return a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d)
+
+
+# ---------------------------------------------------------------------------
 # Quantum.
 # ---------------------------------------------------------------------------
 

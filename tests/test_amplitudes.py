@@ -1,11 +1,15 @@
 """Ring arithmetic of exact amplitudes over Q(sqrt2) + i*Q(sqrt2)."""
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ocalab import AMP_HALF, AMP_INV_SQRT2, AMP_ONE, AMP_ZERO, Amplitude
+from ocalab.amplitudes import Quad
+from reference import ref_parts, ref_ring_abs2, ref_ring_add, ref_ring_conjugate, ref_ring_mul
 
 F = Fraction
 
@@ -131,3 +135,42 @@ def test_equal_amplitudes_hash_equal(x):
     clone = Amplitude(x.re_rat, x.re_sqrt2, x.im_rat, x.im_sqrt2)
     assert clone == x
     assert hash(clone) == hash(x)
+
+
+@given(fracs)
+def test_real_rational_amplitudes_hash_as_their_fraction(r):
+    assert Amplitude(r) == r
+    assert hash(Amplitude(r)) == hash(r)
+    assert len({Amplitude(r), r, AMP_INV_SQRT2 * AMP_INV_SQRT2 * 2 * r}) == 1
+
+
+@pytest.mark.parametrize("part", [0.1, 1.0, "1/3", "1e3", Decimal("0.5")])
+def test_parts_must_be_ints_or_fractions(part):
+    with pytest.raises(TypeError):
+        Amplitude(part)
+    with pytest.raises(TypeError):
+        Amplitude(0, 0, 0, part)
+
+
+@given(amps, amps)
+def test_ring_matches_four_fraction_reference(x, y):
+    px, py = ref_parts(x), ref_parts(y)
+    assert ref_parts(x + y) == ref_ring_add(px, py)
+    assert ref_parts(x - y) == ref_ring_add(px, tuple(-p for p in py))
+    assert ref_parts(x * y) == ref_ring_mul(px, py)
+    assert ref_parts(x.conjugate()) == ref_ring_conjugate(px)
+    assert x.abs2() == ref_ring_abs2(px)
+
+
+ints = st.integers(min_value=-40, max_value=40)
+
+
+@given(st.builds(Quad, ints, ints, ints, ints), st.integers(min_value=1, max_value=60))
+def test_over_is_in_lowest_terms(quad, den):
+    amp = Amplitude.over(quad, den)
+    assert amp.den > 0 and gcd(amp.den, *amp.quad) == 1
+    assert amp == Amplitude(*(Fraction(part, den) for part in quad))
+    with pytest.raises(ValueError):
+        Amplitude.over(quad, -den)
+    with pytest.raises(ValueError):
+        Amplitude.over(quad, 0)

@@ -308,6 +308,30 @@ def test_a_sweep_past_the_claims_domain_is_a_usage_error(tmp_path, capsys, repor
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        ("xoreq-q1ca-mod15", "modulus must be at most 13"),
+        ("xoreq-q1ca-mod99999999999999999999", "modulus must be at most 13"),
+        ("xoreq-q1ca-mod4", "modulus must be odd and >= 3"),
+        ("xoreq-q1ca-mod1", "modulus must be odd and >= 3"),
+    ],
+)
+def test_xoreq_mod_out_of_range_is_a_usage_error(capsys, name, reason):
+    for argv in (["run", name, "--input", "0#0#0#0#"], ["adversary", "brute", name, "--max-n", "4"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_INVALID, "")
+        assert captured.err == f"{name}: {reason}\n"
+
+
+def test_xoreq_mod_sweep_past_its_domain_is_a_usage_error(capsys):
+    assert main(["adversary", "brute", "xoreq-q1ca-mod3", "--max-n", "7"]) == EXIT_EXHAUSTED
+    capsys.readouterr()
+    assert main(["adversary", "brute", "xoreq-q1ca-mod3", "--max-n", "8"]) == EXIT_INVALID
+    assert capsys.readouterr().err == "xoreq-q1ca-mod3 claims its bounds for n <= 7 only, not --max-n 8\n"
+
+
 def test_batch_record_parts_wrap_any_word():
     verdict = run_word(get_entry("onenone-lv").machine, "adaabddd")
     head, tail = _record_parts("yes", verdict)

@@ -27,6 +27,7 @@ from ocalab import (
     xoreq_word,
     zoo_names,
 )
+from ocalab.adversary import bounds_rule, brute_refute
 from reference import ref_build_l_p1ca
 
 YES_WORD = xoreq_word(2, 2, 2, 4, 2, 0, 0, 0)
@@ -282,6 +283,34 @@ def test_xoreq_modulus_validation():
     for bad in (0, 1, 4, -5):
         with pytest.raises(ValueError):
             build_xoreq_q1ca(modulus=bad)
+
+
+@pytest.mark.parametrize("m", [3, 7])
+def test_xoreq_mod_claim_holds_exactly_on_its_domain(m):
+    entry = get_entry(f"xoreq-q1ca-mod{m}")
+    assert (entry.problem, entry.claimed_bounds.max_n) == ("xor-eq", 2 * m + 1)
+    assert validate_machine(entry.machine) == []
+    rule = bounds_rule(entry.claimed_bounds)
+    assert brute_refute(entry.machine, entry.problem, 2 * m + 1, rule) is None
+    assert brute_refute(entry.machine, entry.problem, 2 * m + 2, rule) is not None
+
+
+def test_xoreq_mod13_claim_holds_at_n_16():
+    entry = get_entry("xoreq-q1ca-mod13")
+    assert entry.claimed_bounds.max_n == 27
+    assert brute_refute(entry.machine, entry.problem, 16, bounds_rule(entry.claimed_bounds)) is None
+
+
+def test_xoreq_mod_family_is_odd_and_bounded():
+    for m in (0, 1, 4, 12):
+        with pytest.raises(ValueError, match="modulus must be odd and >= 3"):
+            get_entry(f"xoreq-q1ca-mod{m}")
+    for m in (14, 15, 10**9):
+        with pytest.raises(ValueError, match="modulus must be at most 13"):
+            get_entry(f"xoreq-q1ca-mod{m}")
+    with pytest.raises(KeyError, match="unknown zoo name"):
+        get_entry("xoreq-q1ca-mod03")
+    assert "xoreq-q1ca-mod3" not in zoo_names()
 
 
 # ---------------------------------------------------------------------------
