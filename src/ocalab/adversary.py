@@ -35,7 +35,7 @@ from .core import (
     format_exact,
     tape_of,
 )
-from .kernel import ACCEPT, Branches, Kernel, compiled, run_many
+from .kernel import ACCEPT, compiled, run_many
 from .problems import NO, YES, classify_eqstar, classify_xoreq, get_problem, xoreq_word
 from .zoo import ClaimedBounds
 
@@ -74,16 +74,6 @@ def _require_sigma_run(machine: CounterMachine, symbol: str) -> None:
     _require_deterministic(machine)
     if symbol not in machine.tape_symbols:
         raise SimulationError(f"symbol {symbol!r} is not on this machine's tape")
-
-
-def _branches(kernel: Kernel, config: int, symbol: str) -> Branches:
-    """The compiled row read at configuration ``config`` on ``symbol``; every
-    single-path attack steps through it."""
-    state = config % kernel.size
-    row = kernel.tables[symbol].branches(state, config == state, 1)
-    if not row:  # only a hand-built row whose weights are all 0
-        raise SimulationError(f"state {kernel.names[state]!r} has no branch of nonzero weight on {symbol!r}")
-    return row
 
 
 def _first_repeat(items: Iterable[Hashable]) -> Optional[tuple[int, int]]:
@@ -209,7 +199,7 @@ def _prefix_configs(machine: CounterMachine, bound: int) -> list[tuple[tuple[int
     kernel = compiled(machine)
 
     def step(config: int, symbol: str) -> int:
-        return config + _branches(kernel, config, symbol)[0][0]
+        return config + kernel.branches_at(config, symbol)[0][0]
 
     config = step(kernel.initial, LEFT_END)
     starts: list[tuple[int, int]] = []
@@ -348,7 +338,7 @@ def _find_rejecting_path(
             if kernel.kind(config) != ACCEPT:
                 return choices, _replay(machine, tape, choices)
             continue
-        row = _branches(kernel, config, tape[pos])
+        row = kernel.branches_at(config, tape[pos])
         for index in range(len(row) - 1, -1, -1):
             stack.append((config + row[index][0], pos + 1, choices + (index,)))
     return None
@@ -358,7 +348,7 @@ def _replay(machine: CounterMachine, tape: tuple[str, ...], choices: tuple[int, 
     kernel = compiled(machine)
     trail = [kernel.initial]
     for symbol, choice in zip(tape, choices):
-        row = _branches(kernel, trail[-1], symbol)
+        row = kernel.branches_at(trail[-1], symbol)
         if choice >= len(row):
             raise SimulationError("replayed path left the transition table")
         trail.append(trail[-1] + row[choice][0])

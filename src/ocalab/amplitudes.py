@@ -59,6 +59,9 @@ class Quad(tuple):
     def conjugate(self) -> "Quad":
         return _new_quad(Quad, (self[0], self[1], -self[2], -self[3]))
 
+    def __getnewargs__(self) -> tuple[int, ...]:  # copy and pickle call Quad(a, b, c, d)
+        return tuple(self)
+
     def __floordiv__(self, n: int) -> "Quad":
         return _new_quad(Quad, (self[0] // n, self[1] // n, self[2] // n, self[3] // n))
 
@@ -108,6 +111,9 @@ class Amplitude:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Amplitude is immutable")
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through over, not setattr
+        return Amplitude.over, (self.quad, self.den)
 
     @classmethod
     def _coerce(cls, value: object) -> "Amplitude | None":

@@ -134,18 +134,16 @@ def sample_run(machine: CounterMachine, word: str, seed: int) -> str:
     _require_classical(machine)
     kernel = _kernel.compiled(machine)
     rng = random.Random(seed)
-    size = kernel.size
     config = kernel.initial
     for symbol in tape_of(word, machine.alphabet):
-        table = kernel.tables[symbol]
-        state = config % size
-        row = table.branches(state, config == state, table.den)
+        row = kernel.branches_at(config, symbol)
         if len(row) == 1:
             config += row[0][0]
             continue
+        den = kernel.tables[symbol].den
         # The row's own least denominator, so a seed draws as it always has.
-        common = gcd(table.den, *(weight for _, weight in row))
-        draw = rng.randrange(table.den // common)
+        common = gcd(den, *(weight for _, weight in row))
+        draw = rng.randrange(den // common)
         acc = 0
         off = row[-1][0]
         for branch_off, weight in row:

@@ -57,6 +57,9 @@ class FrozenTable(dict):
     __setitem__ = __delitem__ = __ior__ = _read_only  # type: ignore[assignment]
     clear = pop = popitem = setdefault = update = _read_only  # type: ignore[assignment]
 
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild it whole, not item by item
+        return FrozenTable, (dict(self),)
+
 
 def status_of(counter: int) -> Status:
     """Status of a counter value: ``Z`` iff it is exactly zero."""

@@ -10,7 +10,8 @@ compiled form is cached on the (immutable) machine:
   carries a configuration to its successor, or a tuple of
   (offset, integer weight) branches over one denominator per symbol; a
   symbol's rows are one list per counter status (:class:`SymbolTable`),
-  read alike by the loops here and the adversary's single-path walks;
+  read by the loops here and, through :meth:`Kernel.branches_at`, by every
+  single-path walk (``sample_run`` and the adversary's);
 - classical masses are ints, quantum amplitudes are ``amplitudes.Quad``
   integer 4-tuples (a, b, c, d) meaning (a + b*sqrt2) + i*(c + d*sqrt2).
 
@@ -28,9 +29,10 @@ A blind machine whose rows never read the counter is stepped by
 counter low, low + 1, ...])}`` (both ends nonzero) over the same ``D`` with
 the same rescale: a move re-labels a whole state in O(1), groups that meet
 add by aligned slices, and the sources of a branching row are gathered
-once.  Machines that read the counter hold a few configurations per
-state, where the flat ``{config: value}`` form of :func:`propagate` is
-cheaper.
+once; :func:`_add`, the one writer of a list, merges into a new one, so a
+kept distribution may be stepped again.  Machines that read the counter
+hold a few configurations per state, where the flat ``{config: value}``
+form of :func:`propagate` is cheaper.
 
 :func:`advance_runs` takes the rest of a run of one symbol in one :func:`_jump`
 where the symbol's rows never read the counter and every configuration (or
@@ -62,6 +64,7 @@ from .core import (
     CounterMachine,
     SimulationError,
     Verdict,
+    format_exact,
     tape_of,
 )
 
@@ -79,7 +82,7 @@ MEMO_CONFIGS = 1 << 16
 
 
 class MeasurementError(SimulationError):
-    """A final probability failed an exactness check (bad norm or sqrt2 residue)."""
+    """A final probability failed an exactness check (bad total mass or norm, sqrt2 residue)."""
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +178,15 @@ class Kernel:
 
     def config(self, config: int) -> tuple[str, int]:
         return self.names[config % self.size], config // self.size
+
+    def branches_at(self, config: int, symbol: str) -> Branches:
+        """The row read at ``config`` on ``symbol`` as branches, a move given weight 1:
+        the one row reader of every single-path walk (``sample_run``, the adversary's)."""
+        state = config % self.size
+        row = self.tables[symbol].branches(state, config == state, 1)
+        if not row:  # only a hand-built row whose weights are all 0
+            raise SimulationError(f"state {self.names[state]!r} has no branch of nonzero weight on {symbol!r}")
+        return row
 
 
 class Split(tuple):
@@ -374,8 +386,8 @@ def advance(
     ``low`` changes.  A step that takes a branching row scales every
     group to the symbol's denominator, gathers the sources of each row into
     one list (shared by every target of weight 1) and divides the gcd of
-    everything out.  No list is written after the step that made it, so
-    every (groups, D) returned or kept stays valid.
+    everything out.  Only :func:`_add` writes a list, and only the new one it
+    merges into, so every (groups, D) returned or kept stays valid.
     """
     if kernel.rows is None:
         return propagate(kernel, tape, dist, den, keep)
@@ -386,34 +398,26 @@ def advance(
     for symbol in tape:
         rows = grouped_rows[symbol]
         out: Groups = {}
-        owned: set = set()  # groups whose list this step made
-        pending = None
+        gathered: dict[Split, tuple[int, list]] = {}  # each branching row's sources, added up
         for state, (low, counts) in dist.items():
             row = rows[state]
             if row.__class__ is Split:
-                if pending is None:
-                    pending = []
-                pending.append((row, low, counts))
+                _add(gathered, row, low, counts, 1)
                 continue
             target, delta = row
             if target in out:
-                _add(out, owned, target, low + delta, counts, 1)
+                _add(out, target, low + delta, counts, 1)
             else:
                 out[target] = (low + delta, counts)
-        if pending is not None:
+        if gathered:
             scale = kernel.tables[symbol].den
             if scale != 1:
                 den *= scale
                 for state, (low, counts) in out.items():
                     out[state] = (low, [mass * scale for mass in counts])
-                owned = set(out)
-            gathered: dict[Split, tuple[int, list]] = {}
-            mine: set = set()
-            for row, low, counts in pending:
-                _add(gathered, mine, row, low, counts, 1)
             for row, (low, counts) in gathered.items():
                 for target, delta, weight in row:
-                    _add(out, owned, target, low + delta, counts, weight)
+                    _add(out, target, low + delta, counts, weight)
             if scale != 1:
                 shared = {id(counts): counts for _, counts in out.values()}
                 common = gcd(den, *chain.from_iterable(shared.values()))
@@ -448,7 +452,7 @@ def _jump(kernel: Kernel, table: SymbolTable, dist: Groups | IntDist, steps: int
     if table.reads_counter:
         return None
     size, grouped, walks = kernel.size, kernel.rows is not None, table.walks
-    out, owned = {}, set()
+    out: dict = {}
     for config, value in dist.items():  # the rows ignore the counter, so the nonzero walk is the run
         offsets, entry = walks.get(config % size) or table.walk(config % size)
         if steps < len(offsets):
@@ -459,7 +463,7 @@ def _jump(kernel: Kernel, table: SymbolTable, dist: Groups | IntDist, steps: int
             cycles, left = divmod(steps - entry, len(offsets) - 1 - entry)
             config += cycles * (offsets[-1] - offsets[entry]) + offsets[entry + left]
         if grouped:  # a group walks as its state; the walk's drift moves its low end
-            _add(out, owned, config % size, value[0] + config // size, value[1], 1)
+            _add(out, config % size, value[0] + config // size, value[1], 1)
         else:
             out[config] = out[config] + value if config in out else value
     if kernel.quantum and QZERO in out.values():
@@ -467,25 +471,21 @@ def _jump(kernel: Kernel, table: SymbolTable, dist: Groups | IntDist, steps: int
     return out
 
 
-def _add(groups: dict, owned: set, key: object, low: int, counts: list, weight: int) -> None:
-    """Add ``counts`` times ``weight`` from counter ``low`` into ``groups[key]``,
-    writing only a list that ``owned`` names (or a fresh one, then named)."""
+def _add(groups: dict, key: object, low: int, counts: list, weight: int) -> None:
+    """Add ``counts`` times ``weight`` from counter ``low`` into ``groups[key]``: the one
+    writer of a group list, it merges into a new list, so none is written after it is made."""
     if weight != 1:
         counts = [mass * weight for mass in counts]
     have = groups.get(key)
     if have is None:
         groups[key] = (low, counts)
-        if weight != 1:
-            owned.add(key)
         return
     base_low, base = have
     start, stop = min(low, base_low), max(low + len(counts), base_low + len(base))
-    if key not in owned or base_low != start or len(base) != stop - start:
-        base = [0] * (base_low - start) + base + [0] * (stop - base_low - len(base))
-        owned.add(key)
-        groups[key] = (start, base)
+    merged = [0] * (base_low - start) + base + [0] * (stop - base_low - len(base))
     i = low - start
-    base[i : i + len(counts)] = map(add, base[i : i + len(counts)], counts)
+    merged[i : i + len(counts)] = map(add, merged[i : i + len(counts)], counts)
+    groups[key] = (start, merged)
 
 
 def flat(kernel: Kernel, dist: Groups | IntDist) -> IntDist:
@@ -540,8 +540,11 @@ def outcome_sums(kernel: Kernel, items: Iterable[tuple[int, object]]) -> tuple[i
 
 
 def tally(sums: tuple[int, ...], den: int) -> Verdict:
-    """Classical verdict from the (reject, accept, neutral) masses over ``den``."""
+    """Classical verdict from the (reject, accept, neutral) masses over ``den``,
+    whose total must be exactly ``den``: a hand-built row may lose mass."""
     reject, accept, neutral = sums
+    if reject + accept + neutral != den:
+        raise MeasurementError(format_exact("total mass is {}, expected exactly 1", Fraction(sum(sums), den)))
     return Verdict(
         accept=Fraction(accept, den),
         reject=Fraction(reject, den),
@@ -558,15 +561,14 @@ def born(sums: tuple[int, ...], den: int) -> Verdict:
     total_rat, total_s2, accept_rat, accept_s2 = sums
     den2 = den * den
     if total_s2 != 0 or total_rat != den2:
-        raise MeasurementError(
-            f"state vector norm^2 is {Fraction(total_rat, den2)} + "
-            f"{Fraction(total_s2, den2)}*sqrt2, expected exactly 1"
-        )
+        raise MeasurementError(format_exact(
+            "state vector norm^2 is {} + {}*sqrt2, expected exactly 1",
+            Fraction(total_rat, den2), Fraction(total_s2, den2),
+        ))
     if accept_s2 != 0:
-        raise MeasurementError(
-            f"accept probability has sqrt2 residue {Fraction(accept_s2, den2)}; "
-            "machine is malformed"
-        )
+        raise MeasurementError(format_exact(
+            "accept probability has sqrt2 residue {}; machine is malformed", Fraction(accept_s2, den2)
+        ))
     accept = Fraction(accept_rat, den2)
     return Verdict(accept=accept, reject=1 - accept)
 
@@ -613,8 +615,8 @@ def run_many(machine: CounterMachine, words: Iterable[str]) -> Iterator[Verdict]
 
     def group(item: tuple) -> tuple:
         """A group as (state, low, masses): its content, since both ends are
-        nonzero, built once per list, which no step writes after the one
-        that made it."""
+        nonzero, built once per list, which nothing writes once it is made
+        (:func:`_add` merges into a new list)."""
         nonlocal held
         state, (low, counts) = item
         hit = frozen.get(id(counts))

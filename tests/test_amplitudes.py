@@ -1,4 +1,6 @@
 """Ring arithmetic of exact amplitudes over Q(sqrt2) + i*Q(sqrt2)."""
+import copy
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -174,3 +176,17 @@ def test_over_is_in_lowest_terms(quad, den):
         Amplitude.over(quad, -den)
     with pytest.raises(ValueError):
         Amplitude.over(quad, 0)
+
+
+@pytest.mark.parametrize(
+    "trip", [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_quads_and_amplitudes_survive_copy_and_pickle(trip):
+    values = (Quad(1, 2, 3, 4), Quad(-5), AMP_HALF, AMP_INV_SQRT2, Amplitude(F(1, 3), 0, F(-2, 7), F(1, 2)))
+    for value in values:
+        got = trip(value)
+        assert type(got) is type(value) and got == value
+        assert repr(got) == repr(value) and hash(got) == hash(value)
+    with pytest.raises(AttributeError):
+        trip(AMP_HALF).den = 3

@@ -1,8 +1,10 @@
 """The compiled integer kernel against the direct Fraction/Amplitude reference."""
+import copy
 import dataclasses
 import functools
 import importlib
 import inspect
+import pickle
 import tracemalloc
 
 import pytest
@@ -38,6 +40,7 @@ from ocalab import (
     sample_run,
     step,
     tape_of,
+    validate_machine,
     verdict_of,
     xoreq_word,
     zoo_names,
@@ -291,6 +294,34 @@ def test_sampling_draws_as_the_reference():
             assert sample_run(machine, word, seed) == ref_sample_run(machine, word, seed)
 
 
+def _mass_losing_p1ca(*weights):
+    """A p1ca whose one row on 'a' has ``weights``: validate_machine refuses
+    it, and a hand-built machine still runs."""
+    rows = [("s", L, "*", [("s", 0, F(1))]), ("s", "a", "*", [("s", 0, weight) for weight in weights])]
+    machine = mk("lossy", "p1ca", "a", ("s",), "s", ("s",), rows)
+    assert validate_machine(machine)
+    return machine
+
+
+def test_verdict_readers_raise_typed_errors():
+    for weights, total in (((F(1, 2), F(1, 4)), "3/4"), ((F(0),), "0")):
+        machine = _mass_losing_p1ca(*weights)
+        for read_a in (lambda: run(machine, "a"), lambda: next(run_many(machine, ["a"]))):
+            with pytest.raises(MeasurementError, match=f"^total mass is {total}, expected exactly 1$"):
+                read_a()
+    # After 8,000 halvings the norm's denominator is 4**8000, 4,817 digits:
+    # past Python's int-to-str limit, and still written whole.
+    rows = [("s", L, "*", [("s", 0, AMP_ONE)]), ("s", "a", "*", [("s", 0, AMP_HALF)])]
+    machine = mk("halving", "q1ca", "a", ("s",), "s", (), rows)
+    with pytest.raises(MeasurementError, match=r"^state vector norm\^2 is 1/\d{4817} \+ 0\*sqrt2, expected exactly 1$"):
+        run_quantum(machine, "a" * 8000)
+
+
+def test_sample_run_refuses_a_row_whose_weights_are_all_zero():
+    with pytest.raises(SimulationError, match=r"^state 's' has no branch of nonzero weight on 'a'$"):
+        sample_run(_mass_losing_p1ca(F(0)), "a", 0)
+
+
 # ---------------------------------------------------------------------------
 # Frozen tables and the compile cache.
 # ---------------------------------------------------------------------------
@@ -327,6 +358,24 @@ def test_frozen_tables_copy_to_plain_dicts():
     assert table[key] != ()
     # A machine built from a frozen table shares it instead of copying it.
     assert dataclasses.replace(machine, name="renamed").transitions is table
+
+
+@pytest.mark.parametrize("name", ["m1", "xoreq-q1ca"])
+def test_machines_survive_copy_and_pickle(name):
+    entry = get_entry(name)
+    machine = entry.machine
+    words = [word for word, _ in generate(entry.problem, 4)]
+    key = next(iter(machine.transitions))
+    for other in (copy.deepcopy(machine), pickle.loads(pickle.dumps(machine))):
+        assert other == machine and other.transitions == machine.transitions
+        assert [run_word(other, word) for word in words] == [run_word(machine, word) for word in words]
+        with pytest.raises(TypeError):
+            other.transitions[key] = ()
+        if other.mclass.quantum:  # its Amplitude weights refuse writes too
+            with pytest.raises(AttributeError, match="^Amplitude is immutable$"):
+                other.transitions[key][0][2].den = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            other.name = "renamed"
 
 
 def test_builder_tables_are_copied_not_shared():
@@ -744,6 +793,28 @@ def test_groups_with_holes_step_as_the_flat_loop_and_the_reference(machine, data
     assert all(0 not in dist.values() for dist, _ in grouped)
     expected = ref_distributions(machine, word)
     assert run_trace(machine, word, keep_distributions=True).distributions == tuple(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_machines(BLIND_CLASSES, steps=3), st.data())
+def test_kept_group_lists_are_never_written_again(machine, data):
+    # Every distribution that advance keeps may be stepped again, as run_many's
+    # memo does: stepping each again, by advance or by a jump, leaves every
+    # kept list as it was.
+    kernel = compiled(machine)
+    word = data.draw(st.text(alphabet=machine.alphabet, max_size=7))
+    kept = []
+    advance(kernel, tape_of(word, machine.alphabet), keep=kept)
+
+    def snapshot():
+        return [{state: (low, tuple(counts)) for state, (low, counts) in dist.items()} for dist, _ in kept]
+
+    before = snapshot()
+    for dist, den in kept:
+        for symbol in machine.tape_symbols:
+            advance(kernel, (symbol,), dist, den)
+            _jump(kernel, kernel.tables[symbol], dist, data.draw(st.integers(1, 9)))
+    assert snapshot() == before
 
 
 def test_a_group_with_holes_reads_as_its_configurations():
