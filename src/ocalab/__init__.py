@@ -6,172 +6,16 @@ simulated with exact rational / algebraic arithmetic; promise problems
 come with oracles and instance generators; adversary procedures
 construct or search for refutations of over-claimed machines.
 """
-from .amplitudes import AMP_HALF, AMP_INV_SQRT2, AMP_ONE, AMP_ZERO, Amplitude
-from .classical import (
-    RunTrace,
-    decide_mode,
-    initial_distribution,
-    run,
-    run_trace,
-    sample_run,
-    step,
-    verdict_of,
-)
-from .core import (
-    ENDMARKERS,
-    LEFT_END,
-    NZ,
-    RIGHT_END,
-    SINK,
-    STATUSES,
-    Z,
-    CounterMachine,
-    EngineError,
-    MachineClass,
-    SimulationError,
-    Verdict,
-    Violation,
-    mass_of,
-    require_valid,
-    status_of,
-    tape_of,
-    validate_machine,
-)
-from .dsl import (
-    ParseDiagnostic,
-    ParseError,
-    SourceSpan,
-    emit,
-    parse,
-    parse_file,
-    parse_with_diagnostics,
-)
-from .problems import (
-    NO,
-    OUTSIDE,
-    YES,
-    PromiseProblem,
-    classify_eq3,
-    classify_eqstar,
-    classify_eqstar_complement,
-    classify_L,
-    classify_none,
-    classify_one,
-    classify_onenone_t,
-    classify_xoreq,
-    generate,
-    get_problem,
-    list_problems,
-    xoreq_blocks,
-    xoreq_word,
-)
-from .quantum import (
-    MeasurementError,
-    UnitarityReport,
-    check_unitarity,
-    evolve,
-    initial_vector,
-    measure,
-    norm_squared,
-    run_quantum,
-)
-from .zoo import (
-    ClaimedBounds,
-    ZooEntry,
-    as_quantum,
-    build_eq3_p1bca,
-    build_eqstar_complement_d1ca,
-    build_eqstar_p1bca,
-    build_l_p1ca,
-    build_m1,
-    build_m2,
-    build_onenone_lv,
-    build_onenone_lv_t,
-    build_xoreq_q1ca,
-    get_entry,
-    list_entries,
-    zoo_names,
-)
+from . import amplitudes, classical, core, dsl, problems, quantum, zoo
+from .amplitudes import *
+from .classical import *
+from .core import *
+from .dsl import *
+from .problems import *
+from .quantum import *
+from .zoo import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AMP_HALF",
-    "AMP_INV_SQRT2",
-    "AMP_ONE",
-    "AMP_ZERO",
-    "Amplitude",
-    "ClaimedBounds",
-    "CounterMachine",
-    "ENDMARKERS",
-    "EngineError",
-    "LEFT_END",
-    "MachineClass",
-    "MeasurementError",
-    "NO",
-    "NZ",
-    "OUTSIDE",
-    "ParseDiagnostic",
-    "ParseError",
-    "PromiseProblem",
-    "RIGHT_END",
-    "RunTrace",
-    "SINK",
-    "STATUSES",
-    "SimulationError",
-    "SourceSpan",
-    "UnitarityReport",
-    "Verdict",
-    "Violation",
-    "YES",
-    "Z",
-    "ZooEntry",
-    "as_quantum",
-    "build_eq3_p1bca",
-    "build_eqstar_complement_d1ca",
-    "build_eqstar_p1bca",
-    "build_l_p1ca",
-    "build_m1",
-    "build_m2",
-    "build_onenone_lv",
-    "build_onenone_lv_t",
-    "build_xoreq_q1ca",
-    "check_unitarity",
-    "classify_L",
-    "classify_eq3",
-    "classify_eqstar",
-    "classify_eqstar_complement",
-    "classify_none",
-    "classify_one",
-    "classify_onenone_t",
-    "classify_xoreq",
-    "decide_mode",
-    "emit",
-    "evolve",
-    "generate",
-    "get_entry",
-    "get_problem",
-    "initial_distribution",
-    "initial_vector",
-    "list_entries",
-    "list_problems",
-    "mass_of",
-    "measure",
-    "norm_squared",
-    "parse",
-    "parse_file",
-    "parse_with_diagnostics",
-    "require_valid",
-    "run",
-    "run_quantum",
-    "run_trace",
-    "sample_run",
-    "status_of",
-    "step",
-    "tape_of",
-    "validate_machine",
-    "verdict_of",
-    "xoreq_blocks",
-    "xoreq_word",
-    "zoo_names",
-]
+__all__ = sorted(name for module in (amplitudes, classical, core, dsl, problems, quantum, zoo)
+                 for name in module.__all__)

@@ -20,6 +20,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
+__all__ = [
+    "AMP_HALF",
+    "AMP_INV_SQRT2",
+    "AMP_ONE",
+    "AMP_ZERO",
+    "Amplitude",
+]
+
 RationalLike = Union[int, Fraction]
 
 

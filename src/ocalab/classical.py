@@ -25,6 +25,17 @@ from .core import (
     tape_of,
 )
 
+__all__ = [
+    "RunTrace",
+    "decide_mode",
+    "initial_distribution",
+    "run",
+    "run_trace",
+    "sample_run",
+    "step",
+    "verdict_of",
+]
+
 Config = tuple[str, int]
 ConfigDistribution = dict[Config, Fraction]
 

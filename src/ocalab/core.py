@@ -23,6 +23,27 @@ from typing import Iterable, Mapping
 
 from .amplitudes import AMP_ONE, Amplitude
 
+__all__ = [
+    "CounterMachine",
+    "ENDMARKERS",
+    "EngineError",
+    "LEFT_END",
+    "MachineClass",
+    "NZ",
+    "RIGHT_END",
+    "SINK",
+    "STATUSES",
+    "SimulationError",
+    "Verdict",
+    "Violation",
+    "Z",
+    "mass_of",
+    "require_valid",
+    "status_of",
+    "tape_of",
+    "validate_machine",
+]
+
 LEFT_END = "¢"
 RIGHT_END = "$"
 ENDMARKERS = (LEFT_END, RIGHT_END)

@@ -53,6 +53,16 @@ from .core import (
     validate_machine,
 )
 
+__all__ = [
+    "ParseDiagnostic",
+    "ParseError",
+    "SourceSpan",
+    "emit",
+    "parse",
+    "parse_file",
+    "parse_with_diagnostics",
+]
+
 ERROR = "error"  # the only severity: every diagnostic is an error
 
 _SYMBOL_ALIASES = {"LEND": LEFT_END, "REND": RIGHT_END, "HASH": "#"}
@@ -464,13 +474,14 @@ def parse(text: str) -> CounterMachine:
 
 
 def read_source(path: str | Path) -> str:
-    """The text of a ``.cma`` file; bytes that are not UTF-8 raise :class:`ParseError`."""
+    """The text of a ``.cma`` file less one leading BOM; bytes that are not UTF-8 raise :class:`ParseError`."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         span = SourceSpan(line, exc.start - exc.object.rfind(b"\n", 0, exc.start), 1)
         raise ParseError([ParseDiagnostic(span, ERROR, f"{path} is not UTF-8 text: {exc.reason}")]) from None
+    return text.removeprefix("\ufeff")
 
 
 def parse_file(path: str | Path) -> CounterMachine:

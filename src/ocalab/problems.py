@@ -23,6 +23,26 @@ from typing import Callable, Iterator
 
 from .core import EngineError
 
+__all__ = [
+    "NO",
+    "OUTSIDE",
+    "PromiseProblem",
+    "YES",
+    "classify_L",
+    "classify_eq3",
+    "classify_eqstar",
+    "classify_eqstar_complement",
+    "classify_none",
+    "classify_one",
+    "classify_onenone_t",
+    "classify_xoreq",
+    "generate",
+    "get_problem",
+    "list_problems",
+    "xoreq_blocks",
+    "xoreq_word",
+]
+
 YES = "yes"
 NO = "no"
 OUTSIDE = "outside_promise"

@@ -29,7 +29,18 @@ from .core import (
     status_of,
     tape_of,
 )
-from .kernel import MeasurementError  # noqa: F401  (part of this module's interface)
+from .kernel import MeasurementError
+
+__all__ = [
+    "MeasurementError",
+    "UnitarityReport",
+    "check_unitarity",
+    "evolve",
+    "initial_vector",
+    "measure",
+    "norm_squared",
+    "run_quantum",
+]
 
 Config = tuple[str, int]
 StateVector = dict[Config, Amplitude]

@@ -282,3 +282,46 @@ def test_a_fresh_import_lets_the_previous_one_go():
     src = str(Path(ocalab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", script], env=env, timeout=60).returncode == 0
+
+
+# The package's 78 public names, in the order of ``ocalab.__all__``.
+PUBLIC_NAMES = """
+    AMP_HALF AMP_INV_SQRT2 AMP_ONE AMP_ZERO Amplitude ClaimedBounds CounterMachine
+    ENDMARKERS EngineError LEFT_END MachineClass MeasurementError NO NZ OUTSIDE
+    ParseDiagnostic ParseError PromiseProblem RIGHT_END RunTrace SINK STATUSES
+    SimulationError SourceSpan UnitarityReport Verdict Violation YES Z ZooEntry
+    as_quantum build_eq3_p1bca build_eqstar_complement_d1ca build_eqstar_p1bca
+    build_l_p1ca build_m1 build_m2 build_onenone_lv build_onenone_lv_t
+    build_xoreq_q1ca check_unitarity classify_L classify_eq3 classify_eqstar
+    classify_eqstar_complement classify_none classify_one classify_onenone_t
+    classify_xoreq decide_mode emit evolve generate get_entry get_problem
+    initial_distribution initial_vector list_entries list_problems mass_of measure
+    norm_squared parse parse_file parse_with_diagnostics require_valid run
+    run_quantum run_trace sample_run status_of step tape_of validate_machine
+    verdict_of xoreq_blocks xoreq_word zoo_names
+""".split()
+
+
+def test_the_public_names_are_the_modules_lists():
+    assert ocalab.__all__ == PUBLIC_NAMES
+    namespace = {}
+    exec("from ocalab import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == PUBLIC_NAMES
+    owner = {}
+    for module in (
+        ocalab.amplitudes, ocalab.classical, ocalab.core, ocalab.dsl,
+        ocalab.problems, ocalab.quantum, ocalab.zoo,
+    ):
+        for name in module.__all__:
+            # A name in two lists would be bound by whichever star import came last.
+            assert name not in owner, (name, owner.get(name), module.__name__)
+            owner[name] = module.__name__
+            assert getattr(ocalab, name) is getattr(module, name)
+    assert sorted(owner) == PUBLIC_NAMES
+
+
+def test_importing_the_package_leaves_the_adversary_and_cli_unloaded():
+    script = "import sys, ocalab\nsys.exit('ocalab.adversary' in sys.modules or 'ocalab.cli' in sys.modules)\n"
+    src = str(Path(ocalab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", script], env=env, timeout=60).returncode == 0

@@ -440,3 +440,40 @@ def test_parse_file_refuses_bytes_that_are_not_utf8(tmp_path):
     with pytest.raises(ParseError) as caught:
         parse_file(path)
     assert str(caught.value) == f"4:9: error: {path} is not UTF-8 text: invalid continuation byte"
+
+
+# Some editors start a UTF-8 file with a byte-order mark, the bytes ef bb bf.
+BOM = b"\xef\xbb\xbf"
+BOM_COMMANDS = [
+    "validate {path}",
+    "run {path} --input 00#",
+    "batch {path} --problem xor-eq --max-n 4 --out {out}",
+]
+
+
+@pytest.mark.parametrize("command", BOM_COMMANDS)
+def test_cli_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path, capsys, command):
+    path, out = tmp_path / "m1.cma", tmp_path / "out.json"
+    text = emit(get_entry("m1").machine).encode()
+    seen = []
+    for data in (text, BOM + text):
+        path.write_bytes(data)
+        code = main(command.format(path=path, out=out).split())
+        seen.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert seen[0][0] == 0
+    assert seen[1] == seen[0]
+
+
+def test_parse_file_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "t.cma"
+    path.write_bytes(BOM + BASE.encode())
+    assert parse_file(path) == parse_with_diagnostics(BASE)[0]
+    path.write_bytes(BOM + BROKEN.encode())
+    with pytest.raises(ParseError) as caught:
+        parse_file(path)
+    assert str(caught.value) + "\n" == PROB_SUM
+    path.write_bytes(BOM + BOM + BASE.encode())
+    with pytest.raises(ParseError) as caught:
+        parse_file(path)
+    assert str(caught.value).startswith("1:1: error: unknown directive '\\ufeffmachine'")
