@@ -127,7 +127,7 @@ def analyze_cycle(machine: CounterMachine, start: Config, symbol: str) -> CycleP
             f"state {names[(config + offsets[-1]) % size]!r} has a branching row on {symbol!r}"
         )
     period, drift = len(offsets) - 1 - entry, offsets[-1] - offsets[entry]
-    for step in range(horizon + 1):  # past the walk, whole turns of its cycle as in kernel._jump
+    for step in range(horizon + 1):  # past the walk, whole turns of its cycle as in kernel._walk
         cycles, left = (0, step - entry) if step < len(offsets) else divmod(step - entry, period)
         if (config + cycles * drift + offsets[entry + left]) // size == 0:
             raise SimulationError(

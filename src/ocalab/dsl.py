@@ -478,8 +478,12 @@ def read_source(path: str | Path) -> str:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        span = SourceSpan(line, exc.start - exc.object.rfind(b"\n", 0, exc.start), 1)
+        data, bad = exc.object, exc.start
+        begin = data.rfind(b"\n", 0, bad) + 1
+        prefix = data[begin:bad].decode("utf-8")  # the line up to its first bad byte
+        if begin == 0:
+            prefix = prefix.removeprefix("\ufeff")  # as the text that parse reads
+        span = SourceSpan(data.count(b"\n", 0, bad) + 1, len(prefix) + 1, 1)  # columns count characters
         raise ParseError([ParseDiagnostic(span, ERROR, f"{path} is not UTF-8 text: {exc.reason}")]) from None
     return text.removeprefix("\ufeff")
 

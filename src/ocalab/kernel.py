@@ -34,10 +34,17 @@ kept distribution may be stepped again.  Machines that read the counter
 hold a few configurations per state, where the flat ``{config: value}``
 form of :func:`propagate` is cheaper.
 
-:func:`advance_runs` takes the rest of a run of one symbol in one :func:`_jump`
-where the symbol's rows never read the counter and every configuration (or
-group, walking as its state) only moves: one ``divmod`` on its state's
-:meth:`SymbolTable.walk`, which ``adversary.analyze_cycle`` reads too.
+:func:`advance_runs` takes each stretch of consecutive runs on
+``moves_only`` symbols (every row a weight-1 move that ignores the counter)
+of three symbols or more in one :func:`_walk`: each configuration (or
+group, walking as its state) follows its state's :meth:`SymbolTable.walk`
+run after run, one lookup and at most one ``divmod`` a run, and those that
+land on one configuration add there once, at the end.  The rest of a run
+of three or more on another symbol whose rows ignore the counter is walked
+alone unless a branching row comes first; all else is stepped by
+:func:`advance`.  One regular-expression scan, ``Kernel.scan``,
+finds a ``str`` tape's runs to walk.  ``adversary.analyze_cycle`` reads the
+same walks.
 
 A step's result depends only on the flat content and ``D`` it starts from,
 however it is grouped, so :func:`run_many` steps each distinct (content, D)
@@ -47,8 +54,9 @@ holds at most ``MEMO_CONFIGS`` entries plus one word's nodes.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -96,17 +104,19 @@ class SymbolTable:
     ``rows_z[s]``/``rows_nz[s]`` hold the row of state ``s`` on a zero /
     nonzero counter: the int offset of its one weight-1 move, or a tuple of
     (offset, weight) branches, weights over ``den``.
-    ``reads_counter`` is whether some zero row differs from its nonzero row.
+    ``reads_counter`` is whether some zero row differs from its nonzero row,
+    ``moves_only`` whether no row does and every row is a move.
     ``walks`` caches :meth:`walk`, the one single-symbol cycle record.
     """
 
-    __slots__ = ("rows_z", "rows_nz", "den", "reads_counter", "walks")
+    __slots__ = ("rows_z", "rows_nz", "den", "reads_counter", "moves_only", "walks")
 
     def __init__(self, rows_z: list, rows_nz: list, den: int) -> None:
         self.rows_z = rows_z
         self.rows_nz = rows_nz
         self.den = den
         self.reads_counter = rows_z != rows_nz
+        self.moves_only = not self.reads_counter and all(row.__class__ is int for row in rows_nz)
         self.walks: dict = {}
 
     def branches(self, state: int, zero: bool, unit: object) -> Branches:
@@ -129,14 +139,19 @@ class Kernel:
     """``Kernel(machine)`` compiles a machine for :func:`propagate`; see
     the module docstring.
 
-    ``kinds[s]`` is the outcome of state ``s``, and ``unit`` is the value 1
-    (int 1, or ``Quad(1)`` for quantum machines).  ``rows`` holds the rows
+    ``kinds[s]`` is the outcome of state ``s``, ``unit`` is the value 1
+    (int 1, or ``Quad(1)`` for quantum machines), ``letters`` the
+    alphabet less the endmarkers and ``scan`` the pattern of the runs of a
+    ``str`` tape that :func:`_stretches` reads: each run of a ``moves_only``
+    symbol, and each run of three or more of another symbol whose rows
+    ignore the counter.  ``rows`` holds the rows
     of :func:`advance`'s grouped loop per symbol, or None when the machine
     runs flat.
     """
 
     __slots__ = (
-        "names", "ids", "size", "initial", "quantum", "blind", "kinds", "tables", "unit", "rows"
+        "names", "ids", "size", "initial", "quantum", "blind", "kinds", "tables", "unit", "rows",
+        "letters", "scan",
     )
 
     def __init__(self, machine: CounterMachine) -> None:
@@ -165,6 +180,12 @@ class Kernel:
         )
         self.tables = tables = _tables(machine, ids, machine.transitions.items(), machine.tape_symbols)
         self.unit = Quad(1) if self.quantum else 1
+        self.letters = frozenset(machine.alphabet).difference(ENDMARKERS)
+        self.scan = re.compile("|".join(
+            re.escape(symbol) + ("+" if table.moves_only else "{3,}")
+            for symbol, table in tables.items()
+            if len(symbol) == 1 and not table.reads_counter  # a str holds one-character symbols
+        ) or "(?!)")
         self.rows = None
         if self.blind and not any(table.reads_counter for table in tables.values()):
             self.rows = {symbol: _grouped_rows(table, self.size) for symbol, table in tables.items()}
@@ -432,40 +453,76 @@ def advance(
 
 
 def advance_runs(kernel: Kernel, tape: Sequence[str]) -> tuple[Groups | IntDist, int]:
-    """:func:`advance` from the initial distribution through ``tape``, taking
-    the rest of each run of three or more equal symbols in one :func:`_jump`
-    unless it refuses (a shorter run's rest is one step and closes no cycle)."""
-    dist, den, done, end = None, 1, 0, 0
-    for symbol, run in groupby(tape):
-        start, end = end, end + len(list(run))
-        if end - start > 2:
-            dist, den = advance(kernel, tape[done : start + 1], dist, den)
-            jumped = _jump(kernel, kernel.tables[symbol], dist, end - start - 1)
-            dist, done = (dist, start + 1) if jumped is None else (jumped, end)
+    """:func:`advance` from the initial distribution through ``tape``, a ``str``
+    or a list of symbols, taking each part that :func:`_stretches` finds in one
+    :func:`_walk` unless it refuses."""
+    dist, den, done = None, 1, 0  # tape[:done] is taken
+    for begin, end, runs in _stretches(kernel, tape):
+        dist, den = advance(kernel, tape[done:begin], dist, den)
+        walked = _walk(kernel, dist, runs)
+        dist, done = (dist, begin) if walked is None else (walked, end)
     return advance(kernel, tape[done:], dist, den)
 
 
+def _stretches(kernel: Kernel, tape: Sequence[str]) -> Iterator[tuple[int, int, Sequence]]:
+    """(begin, end, runs) of each part of ``tape`` to walk, ``runs`` its
+    (table, steps): a stretch of runs on ``moves_only`` tables that covers three
+    or more symbols, or the rest of a run of three or more on another table
+    whose rows ignore the counter (a shorter rest is one step and closes no
+    cycle).  A ``str`` is read in one ``Kernel.scan``, which skips the other runs."""
+    tables = kernel.tables
+    if tape.__class__ is str:
+        spans = map(re.Match.span, kernel.scan.finditer(tape))
+    else:  # every run
+        ends = list(accumulate(len(list(run)) for _, run in groupby(tape)))
+        spans = zip([0, *ends], ends)
+    stretch, begin, end = [], 0, 0
+    for start, stop in spans:
+        table = tables[tape[start]]
+        if stretch and (start != end or not table.moves_only):
+            if end - begin > 2:
+                yield begin, end, stretch
+            stretch = []
+        if table.moves_only:
+            begin = begin if stretch else start
+            stretch.append((table, stop - start))
+        elif stop - start > 2 and not table.reads_counter:
+            yield start + 1, stop, ((table, stop - start - 1),)
+        end = stop
+    if stretch and end - begin > 2:
+        yield begin, end, stretch
+
+
 def _jump(kernel: Kernel, table: SymbolTable, dist: Groups | IntDist, steps: int) -> dict | None:
-    """``dist`` after ``steps`` more moves on ``table``'s symbol, or None if
-    its rows read the counter or a branching row comes first; see the module
-    docstring."""
-    if table.reads_counter:
-        return None
-    size, grouped, walks = kernel.size, kernel.rows is not None, table.walks
+    """``dist`` after ``steps`` more moves on ``table``'s symbol, or None if its
+    rows read the counter or a branching row comes first: one run of :func:`_walk`."""
+    return None if table.reads_counter else _walk(kernel, dist, ((table, steps),))
+
+
+def _walk(kernel: Kernel, dist: Groups | IntDist, runs: Sequence[tuple[SymbolTable, int]]) -> dict | None:
+    """``dist`` after each (table, steps) run in turn, on tables whose rows
+    ignore the counter, or None if a branching row comes first; see the module
+    docstring.  Paths that meet inside the runs are added once, at the end."""
+    size, grouped = kernel.size, kernel.rows is not None
     out: dict = {}
     for config, value in dist.items():  # the rows ignore the counter, so the nonzero walk is the run
-        offsets, entry = walks.get(config % size) or table.walk(config % size)
-        if steps < len(offsets):
-            config += offsets[steps]
-        elif entry is None:
-            return None
-        else:  # whole cycles of the walk's last len(offsets) - 1 - entry moves
-            cycles, left = divmod(steps - entry, len(offsets) - 1 - entry)
-            config += cycles * (offsets[-1] - offsets[entry]) + offsets[entry + left]
+        for table, steps in runs:
+            offsets, entry = table.walks.get(config % size) or table.walk(config % size)
+            if steps < len(offsets):
+                config += offsets[steps]
+            elif entry is None:
+                return None
+            else:  # whole cycles of the walk's last len(offsets) - 1 - entry moves
+                cycles, left = divmod(steps - entry, len(offsets) - 1 - entry)
+                config += cycles * (offsets[-1] - offsets[entry]) + offsets[entry + left]
         if grouped:  # a group walks as its state; the walk's drift moves its low end
-            _add(out, config % size, value[0] + config // size, value[1], 1)
+            config, value = config % size, (value[0] + config // size, value[1])
+        if config not in out:
+            out[config] = value
+        elif grouped:
+            _add(out, config, *value, 1)
         else:
-            out[config] = out[config] + value if config in out else value
+            out[config] += value
     if kernel.quantum and QZERO in out.values():
         out = {config: value for config, value in out.items() if value != QZERO}
     return out
@@ -586,7 +643,11 @@ def run_word(machine: CounterMachine, word: str) -> Verdict:
     machines the Born-rule probabilities of one final measurement.
     """
     kernel = compiled(machine)
-    dist, den = advance_runs(kernel, tape_of(word, machine.alphabet))
+    if word.__class__ is str and kernel.letters.issuperset(word):
+        tape = LEFT_END + word + RIGHT_END
+    else:
+        tape = tape_of(word, machine.alphabet)  # a list of symbols, or the first bad symbol's error
+    dist, den = advance_runs(kernel, tape)
     return read(kernel, dist.items(), den)
 
 
@@ -606,7 +667,6 @@ def run_many(machine: CounterMachine, words: Iterable[str]) -> Iterator[Verdict]
     """
     kernel = compiled(machine)
     verdict_of = born if kernel.quantum else tally
-    allowed = set(machine.alphabet).difference(ENDMARKERS)
     verdicts: dict[tuple, Verdict] = {}  # (sums, D) -> its Verdict
     shared: dict[Verdict, Verdict] = {}  # one object per value
     memo: dict[tuple, list] = {}  # (content, D) -> [distribution, D, {symbol: node}, verdict]
@@ -636,7 +696,7 @@ def run_many(machine: CounterMachine, words: Iterable[str]) -> Iterator[Verdict]
 
     start = node(*advance(kernel, (LEFT_END,)))
     for word in words:
-        if not allowed.issuperset(word):
+        if not kernel.letters.issuperset(word):
             tape_of(word, machine.alphabet)  # raises for the first bad symbol
         if held > MEMO_CONFIGS:
             memo.clear()

@@ -442,6 +442,22 @@ def test_parse_file_refuses_bytes_that_are_not_utf8(tmp_path):
     assert str(caught.value) == f"4:9: error: {path} is not UTF-8 text: invalid continuation byte"
 
 
+def test_a_bad_byte_is_placed_at_its_character_column(tmp_path):
+    # 'é' is two bytes, so the byte ff after "states é" is the 9th character
+    # of line 4 and its 10th byte.  A leading byte-order mark is no column,
+    # as in every parse diagnostic.
+    path = tmp_path / "t.cma"
+    cases = (
+        (BASE.encode().replace(b"states s", "states é".encode() + b"\xff"), "4:9"),
+        (BOM + BASE.encode().replace(b"machine t", "machine é".encode() + b"\xff"), "1:10"),
+    )
+    for data, at in cases:
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as caught:
+            parse_file(path)
+        assert str(caught.value) == f"{at}: error: {path} is not UTF-8 text: invalid start byte"
+
+
 # Some editors start a UTF-8 file with a byte-order mark, the bytes ef bb bf.
 BOM = b"\xef\xbb\xbf"
 BOM_COMMANDS = [

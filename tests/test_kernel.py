@@ -45,7 +45,7 @@ from ocalab import (
     xoreq_word,
     zoo_names,
 )
-from ocalab.kernel import _jump, advance, advance_runs, compiled, flat, propagate, run_many, run_word
+from ocalab.kernel import _jump, advance, advance_runs, compiled, flat, propagate, read, run_many, run_word
 from reference import (
     ref_check_unitarity,
     ref_distributions,
@@ -1002,8 +1002,9 @@ def _walk_machine(tag, a_rows, states):
     return mk("walk", tag, "ab", states, states[0], (states[0],), rows, max_step=3)
 
 
-# s0 -> s1 -> s2 -> s3 -> s4 -> s2: after a run's first 'a' (stepped) the
-# jump walks from s1 and enters a cycle of three after one move.
+# s0 -> s1 -> s2 -> s3 -> s4 -> s2: from s1 a walk enters a cycle of three
+# after one move, from s0 after two.  Every row only moves, so a whole word
+# is one stretch, walked from s0.
 RHO = [
     ("s0", "a", "*", [("s1", 1, F(1))]),
     ("s1", "a", "*", [("s2", 0, F(1))]),
@@ -1023,9 +1024,11 @@ def test_a_rho_shaped_walk_jumps_to_the_stepped_result(tag):
         tape = tape_of(word, machine.alphabet)
         assert advance_runs(kernel, tape) == advance(kernel, tape), word
         assert run_word(machine, word) == ref_run(machine, word)
-    offsets, entry = kernel.tables["a"].walks[kernel.ids["s1"]]
+    offsets, entry = kernel.tables["a"].walk(kernel.ids["s1"])
     assert entry == 1 and len(offsets) == 5  # s1, then s2 s3 s4 and back at s2
     assert offsets[-1] - offsets[entry] == 4 * kernel.size  # a cycle gains 2 - 1 + 3
+    offsets, entry = kernel.tables["a"].walks[kernel.ids["s0"]]  # cached by the runs
+    assert entry == 2 and len(offsets) == 6
 
 
 @pytest.mark.parametrize("tag", ["p1ca", "p1bca"])
@@ -1066,6 +1069,118 @@ def test_a_replaced_machine_walks_its_own_rows():
     for m in (other, machine, other):
         assert run_word(m, word) == ref_run(m, word)
     assert run_word(machine, word) == before
-    s1 = compiled(machine).ids["s1"]
-    assert compiled(other).tables["a"].walks[s1][1] == 0
-    assert compiled(machine).tables["a"].walks[s1][1] == 1
+    s0, s1 = compiled(machine).ids["s0"], compiled(machine).ids["s1"]
+    assert compiled(other).tables["a"].walk(s1)[1] == 0
+    assert compiled(machine).tables["a"].walk(s1)[1] == 1
+    assert compiled(other).tables["a"].walks[s0][1] == 0  # cached by the runs, from s0
+    assert compiled(machine).tables["a"].walks[s0][1] == 2
+
+
+# ---------------------------------------------------------------------------
+# A word taken a stretch of move-only runs at a time.
+# ---------------------------------------------------------------------------
+
+
+def _cancelling_q1ca():
+    """On '¢', s splits into t and u with opposite amplitudes; every row on
+    'a' and 'b' is a move, t and u meet at v after two of them, and '$'
+    keeps every state: on a word of two or more letters the paths cancel
+    inside the one stretch of moves after '¢'."""
+    s = AMP_INV_SQRT2
+    moves = (("t", "t1"), ("u", "u1"), ("t1", "v"), ("u1", "v"), ("v", "v"), ("s", "s"))
+    rows = [
+        ("s", L, "*", [("t", 0, s), ("u", 0, -s)]),
+        *((state, symbol, "*", [(target, 0, AMP_ONE)]) for state, target in moves for symbol in "ab"),
+        *((state, R, "*", [(state, 0, AMP_ONE)]) for state, _ in moves),
+    ]
+    return mk("cancel-ab", "q1ca", "ab", ("s", "t", "u", "t1", "u1", "v"), "s", ("v",), rows)
+
+
+@st.composite
+def long_run_words(draw, alphabet):
+    """Words of up to six runs of one symbol, as often 1-2 long, short enough
+    to be stepped, as 3-40."""
+    length = st.one_of(st.integers(1, 2), st.integers(3, 40))
+    runs = draw(st.lists(st.tuples(st.sampled_from(alphabet), length), max_size=6))
+    return "".join(symbol * length for symbol, length in runs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_machines(), permutation_q1ca(), st.just(_cancelling_q1ca())), st.data())
+def test_a_word_runs_as_its_stretches_to_the_stepped_result(machine, data):
+    # The word as a str (scanned), as its framed list and as a list of
+    # symbols: the same flat content and D as stepping every symbol, and
+    # the same Verdict (or MeasurementError) as the stepped result and the
+    # reference.
+    word = data.draw(long_run_words(machine.alphabet))
+    kernel = compiled(machine)
+    stepped, den = advance(kernel, tape_of(word, machine.alphabet))
+    for tape in (L + word + R, tape_of(word, machine.alphabet)):
+        dist, walked_den = advance_runs(kernel, tape)
+        assert (flat(kernel, dist), walked_den) == (flat(kernel, stepped), den)
+    verdict = _outcome(read, kernel, stepped.items(), den)
+    assert _outcome(run_word, machine, word) == _outcome(run_word, machine, list(word)) == verdict
+    reference = ref_run_quantum if machine.mclass.quantum else ref_run
+    assert verdict == _outcome(reference, machine, word)
+
+
+def test_paths_that_cancel_inside_a_stretch_leave_no_zero():
+    machine = _cancelling_q1ca()
+    kernel = compiled(machine)
+    assert kernel.tables["a"].moves_only and kernel.tables["b"].moves_only
+    assert not kernel.tables[L].moves_only
+    for word in ("ab", "ba", "abba", "b" * 7 + "a" * 9):
+        assert advance_runs(kernel, L + word + R) == advance(kernel, L + word + R) == ({}, 2), word
+        expected = ("MeasurementError", "state vector norm^2 is 0 + 0*sqrt2, expected exactly 1")
+        assert _outcome(run_word, machine, word) == _outcome(ref_run_quantum, machine, word) == expected
+    assert run_word(machine, "a") == ref_run_quantum(machine, "a") == Verdict(accept=F(0), reject=F(1))
+
+
+def test_a_run_that_is_stepped_ends_a_stretch():
+    # 'a' only moves and 'b' branches: the scan of a str skips a 'b' run of
+    # one or two, and the walk of the 'a' runs on either side stops there.
+    rows = [
+        *((state, symbol, "*", [(state, 0, F(1))]) for state in ("s", "t") for symbol in (L, R)),
+        ("s", "a", "*", [("s", 1, F(1))]),
+        ("t", "a", "*", [("t", 2, F(1))]),
+        ("s", "b", "*", [("s", 0, H), ("t", 0, H)]),
+        ("t", "b", "*", [("t", -1, F(1))]),
+    ]
+    machine = mk("gap", "p1ca", "ab", ("s", "t"), "s", ("s",), rows, max_step=2)
+    kernel = compiled(machine)
+    assert kernel.tables["a"].moves_only and not kernel.tables["b"].moves_only
+    for word in ("aaabaaa", "abbaa", "aabbba", "ba" * 4, "aaaa"):
+        tape = L + word + R
+        assert advance_runs(kernel, tape) == advance(kernel, tape), word
+        assert run_word(machine, word) == ref_run(machine, word), word
+
+
+BAD_WORDS = [
+    ("0x0", "input symbol 'x' is not in the machine alphabet"),
+    (["0", "x", "0"], "input symbol 'x' is not in the machine alphabet"),
+    (["0", "00"], "input symbol '00' is not in the machine alphabet"),
+    ([""], "input symbol '' is not in the machine alphabet"),
+    ("0" + L + "0", f"input may not contain the endmarker {L!r}"),
+    (["0", R], f"input may not contain the endmarker {R!r}"),
+    ("x" + R, "input symbol 'x' is not in the machine alphabet"),  # the first bad symbol names it
+    (R + "x", f"input may not contain the endmarker {R!r}"),
+]
+
+
+@pytest.mark.parametrize("word, message", BAD_WORDS)
+@pytest.mark.parametrize("runner, name", [(run, "m1"), (run_quantum, "xoreq-q1ca"), (run_word, "m1"), (run_word, "xoreq-q1ca")])
+def test_a_bad_word_raises_the_tape_error(runner, name, word, message):
+    machine = get_entry(name).machine
+    with pytest.raises(SimulationError) as caught:
+        runner(machine, word)
+    assert str(caught.value) == message
+    with pytest.raises(SimulationError) as caught:
+        tape_of(word, machine.alphabet)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("runner, name", [(run, "m1"), (run_quantum, "xoreq-q1ca"), (run_word, "eq-star-p1bca-k3")])
+def test_the_empty_word_runs_on_the_end_markers_alone(runner, name):
+    machine = get_entry(name).machine
+    reference = ref_run_quantum if machine.mclass.quantum else ref_run
+    assert runner(machine, "") == runner(machine, []) == reference(machine, "")
