@@ -469,7 +469,8 @@ def _stretches(kernel: Kernel, tape: Sequence[str]) -> Iterator[tuple[int, int, 
     (table, steps): a stretch of runs on ``moves_only`` tables that covers three
     or more symbols, or the rest of a run of three or more on another table
     whose rows ignore the counter (a shorter rest is one step and closes no
-    cycle).  A ``str`` is read in one ``Kernel.scan``, which skips the other runs."""
+    cycle).  A ``str`` is read in one ``Kernel.scan``, which skips the other runs:
+    ``groupby`` on the ``str`` read long-words ``op_p50_ms`` x1.11 (``BENCH_27.json``)."""
     tables = kernel.tables
     if tape.__class__ is str:
         spans = map(re.Match.span, kernel.scan.finditer(tape))
